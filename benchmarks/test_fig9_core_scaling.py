@@ -14,7 +14,7 @@ caps the speed-up below linear.
 **Measured mode** (:class:`TestFigure9Measured`): in addition to the paper's
 split-simulation, the multiprocess executor
 (:mod:`repro.parallel.executor`) runs the batmap pair-counting workload for
-real — shared-memory buffer, worker pool, tile fan-out, serial merge — and
+real — shared-memory buffer, worker pool, tile fan-out, result sink — and
 the recorded speed-up curve is a wall-clock measurement, not a model.  See
 EXPERIMENTS.md E12.
 """

@@ -16,7 +16,7 @@ Public entry points:
   build shard by shard, spill packed buffers to disk, re-attach memory-mapped.
 """
 
-from repro.core.batch import BatchPairCounter, WidthClass, WidthClassIndex
+from repro.core.batch import BatchPairCounter, WidthClassIndex
 from repro.core.batmap import Batmap, build_batmap
 from repro.core.builder import EMPTY, Placement, PlacementStats, place_set
 from repro.core.collection import BatmapCollection, DeviceBuffer
@@ -63,7 +63,6 @@ from repro.core.swar import (
 __all__ = [
     "Batmap",
     "BatchPairCounter",
-    "WidthClass",
     "WidthClassIndex",
     "build_batmap",
     "EMPTY",

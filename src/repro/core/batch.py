@@ -11,12 +11,12 @@ on the flat device buffer the collection already builds for the GPU
 simulator:
 
 * batmaps are grouped into *width classes* (same packed word width, i.e. the
-  same hash range ``r``); each class is materialised as one dense
-  ``(n_class, width)`` ``uint32`` matrix gathered from the device buffer;
-* all pairs within a class — and all cross-class pairs, folded through the
-  range-nesting property ``h mod r_small == (h mod r_large) mod r_small`` —
-  are counted with *one broadcasted SWAR comparison per class pair*, chunked
-  to bound peak memory;
+  same hash range ``r``); a query gathers only the rows it touches as dense
+  ``(rows, width)`` ``uint32`` matrices;
+* every class pair of a tile — within a class, and across classes folded
+  through the range-nesting property ``h mod r_small == (h mod r_large) mod
+  r_small`` — is counted with *one broadcasted SWAR comparison*, chunked to
+  bound peak memory;
 * compatibility (shared hash family, compression floor) is validated **once**
   per engine, not once per pair.
 
@@ -35,39 +35,41 @@ The module is split into two layers:
   :class:`Batmap` objects, hash family or original-index mapping, the
   multiprocess executor (:mod:`repro.parallel.executor`) can rebuild one
   inside each worker over a shared-memory view of the same buffer.
-* :class:`BatchPairCounter` — the collection-level wrapper: validates
+* :class:`BatchPairCounter` — the collection-level front door: validates
   compatibility once, owns the original-index <-> slot mapping and the
-  cached all-pairs matrix.
+  cached all-pairs matrix, and runs every query as tiles through the one
+  pipeline of :mod:`repro.core.pipeline` (source → walk → runner → sink).
 
 The engine is the shared hot path for :meth:`BatmapCollection.count_all_pairs`,
 the boolean-matrix workloads (:mod:`repro.matrix.multiply`), the mining
 pipeline's host compute mode (:mod:`repro.mining.pair_mining`) and the
-per-tile work of the multiprocess executor.
+per-tile work of the multiprocess and out-of-core executors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.errors import LayoutError
 from repro.core.intersection import require_compression_floor, require_same_family
-from repro.core.results import (
-    DenseCountResult,
-    SparseAccumulator,
-    TopKAccumulator,
+from repro.core.pipeline import (
+    DenseSink,
+    PairsSink,
+    SparseSink,
+    TopKSink,
+    aligned_tiles,
+    auto_tile_edge,
+    rectangle_tiles,
+    run_tiles,
+    triangle_tiles,
 )
+from repro.core.results import DenseCountResult
 from repro.utils.validation import require, require_positive
 
 __all__ = [
-    "WidthClass",
     "WidthClassIndex",
     "BatchPairCounter",
     "DEFAULT_BLOCK_WORDS",
-    "SPARSE_TILE_ENTRIES",
-    "sparse_all_pairs",
-    "sparse_cross",
     "width_slot_bounds",
 ]
 
@@ -148,22 +150,6 @@ def _match_count_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class WidthClass:
-    """All batmaps of one packed width, gathered into a dense word matrix.
-
-    ``eq=False``: the ndarray fields make the generated ``__eq__`` raise on
-    ambiguous truth values; identity comparison is the meaningful one here.
-    """
-
-    width: int                  #: packed width in 32-bit words (3 * r / 4)
-    sorted_indices: np.ndarray  #: sorted-order slots of the members, ascending
-    words: np.ndarray           #: uint32 matrix of shape (n_members, width)
-
-    def __len__(self) -> int:
-        return int(self.sorted_indices.size)
-
-
 class WidthClassIndex:
     """Width-class pair-counting engine over a flat packed word buffer.
 
@@ -172,13 +158,14 @@ class WidthClassIndex:
     ``offsets``, ``widths``) and answers counting queries in width-sorted
     *slot* indices.  It never touches :class:`Batmap` objects, so it can be
     reconstructed inside a worker process over a zero-copy
-    ``multiprocessing.shared_memory`` view of the very same words array —
-    which is how :mod:`repro.parallel.executor` distributes tiles.
+    ``multiprocessing.shared_memory`` view of the very same words array, or
+    over a memory-mapped spilled shard — the tile sources of
+    :mod:`repro.core.pipeline`.
 
-    Dense per-class matrices are materialised lazily: whole-class queries
-    (:meth:`all_pairs`) gather and cache them, while tile-shaped queries
-    (:meth:`cross_slots`, :meth:`pairwise_slots`) gather only the rows they
-    need — a worker that processes a few tiles never copies the full buffer.
+    Queries gather only the rows they touch, so a tile costs its own rows
+    and SWAR temporaries, never a copy of the whole buffer.  Both queries
+    take a second index: another buffer (e.g. another spilled shard) or
+    ``self``.
     """
 
     def __init__(
@@ -199,54 +186,29 @@ class WidthClassIndex:
         require(self.widths.size == self.n_slots,
                 "offsets and widths must have the same length")
 
-        self.class_widths = np.unique(self.widths)      # ascending
-        #: per sorted slot: index of its width class / its row inside the class
-        self.class_of = np.empty(self.n_slots, dtype=np.int64)
-        self.row_of = np.empty(self.n_slots, dtype=np.int64)
-        self.members: list[np.ndarray] = []
-        for class_index, width in enumerate(self.class_widths.tolist()):
-            slots = np.nonzero(self.widths == width)[0]
-            self.members.append(slots)
-            self.class_of[slots] = class_index
-            self.row_of[slots] = np.arange(slots.size)
-        for small, large in zip(self.class_widths[:-1], self.class_widths[1:]):
+        #: ascending distinct widths, and per sorted slot the index of its class
+        self.class_widths, self.class_of = np.unique(self.widths, return_inverse=True)
+        self._check_nesting(self.class_widths)
+
+    @staticmethod
+    def _check_nesting(widths) -> None:
+        for small, large in zip(widths[:-1], widths[1:]):
             require(int(large) % int(small) == 0,
                     f"width {int(large)} is not a multiple of width {int(small)}; "
-                    "ranges must be nested powers of two")
-        self._class_words: list = [None] * len(self.members)
+                    "ranges must be nested powers of two (spilled shards must "
+                    "be packed from the same nested range family)")
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.members)
-
-    # ------------------------------------------------------------------ #
-    # Gathering
-    # ------------------------------------------------------------------ #
-    def class_words(self, class_index: int) -> np.ndarray:
-        """Dense ``(n_members, width)`` matrix of one width class (cached)."""
-        if self._class_words[class_index] is None:
-            self._class_words[class_index] = self._gather(self.members[class_index])
-        return self._class_words[class_index]
-
-    def width_class(self, class_index: int) -> WidthClass:
-        return WidthClass(
-            width=int(self.class_widths[class_index]),
-            sorted_indices=self.members[class_index],
-            words=self.class_words(class_index),
-        )
+    def _check_other(self, other: "WidthClassIndex") -> None:
+        """Width nesting across two buffers (free when ``other is self``)."""
+        if other is not self:
+            self._check_nesting(
+                np.unique(np.concatenate([self.class_widths, other.class_widths])))
 
     def _gather(self, slots: np.ndarray) -> np.ndarray:
         """Word matrix for slots that all share one width (direct buffer gather)."""
         width = int(self.widths[slots[0]]) if slots.size else 0
         gather = self.offsets[slots][:, None] + np.arange(width)[None, :]
         return self.words[gather]
-
-    def _rows(self, slots: np.ndarray, class_index: int) -> np.ndarray:
-        """Rows for same-class slots; reuses the class cache when it exists."""
-        cached = self._class_words[class_index]
-        if cached is not None:
-            return cached[self.row_of[slots]]
-        return self._gather(slots)
 
     # ------------------------------------------------------------------ #
     # Low-level blocked SWAR comparisons
@@ -267,6 +229,23 @@ class WidthClassIndex:
         for start in range(0, n_a, rows):
             stop = min(n_a, start + rows)
             out[start:stop] = _match_count_matrix(aw[start:stop], bw)
+        return out
+
+    def _symmetric_counts(self, a: np.ndarray) -> np.ndarray:
+        """``_equal_width_counts(a, a)`` computing each unordered pair once.
+
+        Row chunk ``[start, stop)`` is compared with rows ``start:`` only and
+        the part below the chunk is mirrored (the SWAR match is symmetric).
+        """
+        aw = _view_widest(a)
+        n, width = aw.shape
+        out = np.empty((n, n), dtype=np.int64)
+        rows = max(1, self.block_words // max(1, n * max(1, width)))
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            block = _match_count_matrix(aw[start:stop], aw[start:])
+            out[start:stop, start:] = block
+            out[stop:, start:stop] = block[:, stop - start:].T
         return out
 
     def _folded_counts(self, large: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -290,128 +269,68 @@ class WidthClassIndex:
     # ------------------------------------------------------------------ #
     # Slot-level queries
     # ------------------------------------------------------------------ #
-    def all_pairs(self) -> np.ndarray:
-        """Dense ``n x n`` count matrix in width-sorted (slot) order.
-
-        The diagonal needs no special-casing: comparing a batmap with itself
-        matches exactly the slots whose indicator bit is set, one per stored
-        element, i.e. :attr:`Batmap.stored_count`.
-        """
-        n = self.n_slots
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(self.n_classes):
-            words_i = self.class_words(i)
-            slots_i = self.members[i]
-            out[np.ix_(slots_i, slots_i)] = self._equal_width_counts(words_i, words_i)
-            for j in range(i + 1, self.n_classes):
-                cross = self._folded_counts(self.class_words(j), words_i)  # (n_j, n_i)
-                slots_j = self.members[j]
-                out[np.ix_(slots_j, slots_i)] = cross
-                out[np.ix_(slots_i, slots_j)] = cross.T
-        return out
-
-    def cross_slots(self, row_slots, col_slots) -> np.ndarray:
-        """Rectangular count matrix between two lists of width-sorted slots."""
-        row_slots = np.asarray(row_slots, dtype=np.int64).ravel()
-        col_slots = np.asarray(col_slots, dtype=np.int64).ravel()
-        out = np.zeros((row_slots.size, col_slots.size), dtype=np.int64)
-        if row_slots.size == 0 or col_slots.size == 0:
-            return out
-        for ci_idx in np.unique(self.class_of[row_slots]).tolist():
-            row_mask = self.class_of[row_slots] == ci_idx
-            a = self._rows(row_slots[row_mask], ci_idx)
-            for cj_idx in np.unique(self.class_of[col_slots]).tolist():
-                col_mask = self.class_of[col_slots] == cj_idx
-                b = self._rows(col_slots[col_mask], cj_idx)
-                if a.shape[1] >= b.shape[1]:
-                    block = self._folded_counts(a, b)
-                else:
-                    block = self._folded_counts(b, a).T
-                out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
-        return out
-
     def cross_index(self, other: "WidthClassIndex", row_slots=None, col_slots=None) -> np.ndarray:
-        """Rectangular counts: rows of *this* buffer against columns of *another*.
+        """Rectangular counts: rows of *this* buffer against columns of ``other``.
 
-        The cross-shard primitive of the out-of-core pipeline
-        (:mod:`repro.core.sharded`): two collections spilled as separate
-        packed buffers are compared without ever concatenating them — rows
-        are gathered from each side's own (possibly memory-mapped) words.
-        Correctness requires both buffers to be interleaved with the *same*
-        block granularity ``r0`` (the spill format pins a collection-wide
-        ``r0`` for exactly this reason) and every pair of widths to nest;
-        the nesting is checked here, the shared ``r0`` is the caller's
-        contract.  With ``other is self`` this degenerates to
-        :meth:`cross_slots`.
+        ``other`` is ``self`` for a within-buffer rectangle (every tile of an
+        in-memory collection) or another buffer — the cross-shard primitive
+        of the out-of-core pipeline (:mod:`repro.core.sharded`): two
+        collections spilled as separate packed buffers are compared without
+        ever concatenating them, rows gathered from each side's own
+        (possibly memory-mapped) words.  Correctness requires both buffers
+        to be interleaved with the *same* block granularity ``r0`` (the
+        spill format pins a collection-wide ``r0`` for exactly this reason)
+        and every pair of widths to nest; the nesting is checked here, the
+        shared ``r0`` is the caller's contract.
+
+        Passing the very same slot array on both axes of ``self`` (a
+        diagonal tile) asks for a symmetric block: each unordered pair is
+        counted once and mirrored.  The diagonal needs no special-casing:
+        comparing a batmap with itself matches exactly the slots whose
+        indicator bit is set, one per stored element, i.e.
+        :attr:`Batmap.stored_count`.
         """
+        symmetric = other is self and col_slots is row_slots and row_slots is not None
         row_slots = (np.arange(self.n_slots) if row_slots is None
                      else np.asarray(row_slots, dtype=np.int64).ravel())
-        col_slots = (np.arange(other.n_slots) if col_slots is None
+        col_slots = (row_slots if symmetric
+                     else np.arange(other.n_slots) if col_slots is None
                      else np.asarray(col_slots, dtype=np.int64).ravel())
         out = np.zeros((row_slots.size, col_slots.size), dtype=np.int64)
         if row_slots.size == 0 or col_slots.size == 0:
             return out
-        merged = np.unique(np.concatenate([self.class_widths, other.class_widths]))
-        for small, large in zip(merged[:-1], merged[1:]):
-            require(int(large) % int(small) == 0,
-                    f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                    "both shards must be packed from the same nested range family")
-        for ci_idx in np.unique(self.class_of[row_slots]).tolist():
-            row_mask = self.class_of[row_slots] == ci_idx
-            a = self._rows(row_slots[row_mask], ci_idx)
-            for cj_idx in np.unique(other.class_of[col_slots]).tolist():
-                col_mask = other.class_of[col_slots] == cj_idx
-                b = other._rows(col_slots[col_mask], cj_idx)
+        self._check_other(other)
+        row_class = self.class_of[row_slots]
+        col_class = other.class_of[col_slots]
+        for ci_idx in np.unique(row_class).tolist():
+            row_pos = np.nonzero(row_class == ci_idx)[0]
+            a = self._gather(row_slots[row_pos])
+            for cj_idx in np.unique(col_class).tolist():
+                if symmetric and cj_idx < ci_idx:
+                    continue                    # mirrored from (cj, ci)
+                col_pos = np.nonzero(col_class == cj_idx)[0]
+                if symmetric and cj_idx == ci_idx:
+                    out[np.ix_(row_pos, col_pos)] = self._symmetric_counts(a)
+                    continue
+                b = other._gather(col_slots[col_pos])
                 if a.shape[1] >= b.shape[1]:
                     block = self._folded_counts(a, b)
                 else:
                     block = self._folded_counts(b, a).T
-                out[np.ix_(np.nonzero(row_mask)[0], np.nonzero(col_mask)[0])] = block
-        return out
-
-    def pairwise_slots(self, a_slots, b_slots) -> np.ndarray:
-        """Aligned counts: slot ``a_slots[k]`` intersected with ``b_slots[k]``.
-
-        Pairs are grouped by their (width, width) class combination so each
-        group is answered with one vectorised folded comparison; the result
-        keeps the input order.
-        """
-        a_slots = np.asarray(a_slots, dtype=np.int64).ravel()
-        b_slots = np.asarray(b_slots, dtype=np.int64).ravel()
-        require(a_slots.size == b_slots.size,
-                "pairwise_slots operands must have the same length")
-        out = np.empty(a_slots.size, dtype=np.int64)
-        if a_slots.size == 0:
-            return out
-        # orient every pair as (wide, narrow)
-        swap = self.widths[a_slots] < self.widths[b_slots]
-        wide = np.where(swap, b_slots, a_slots)
-        narrow = np.where(swap, a_slots, b_slots)
-        combos = np.stack([self.class_of[wide], self.class_of[narrow]], axis=1)
-        for ci_idx, cj_idx in np.unique(combos, axis=0).tolist():
-            mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
-            large = self._rows(wide[mask], ci_idx)
-            small = self._rows(narrow[mask], cj_idx)
-            width_small = int(self.class_widths[cj_idx])
-            reps = int(self.class_widths[ci_idx]) // width_small
-            acc = np.zeros(int(mask.sum()), dtype=np.int64)
-            small_w = _view_widest(small)
-            for block in range(reps):
-                sl = slice(block * width_small, (block + 1) * width_small)
-                acc += _match_count_rows(_view_widest(large[:, sl]), small_w)
-            out[mask] = acc
+                out[np.ix_(row_pos, col_pos)] = block
+                if symmetric:
+                    out[np.ix_(col_pos, row_pos)] = block.T
         return out
 
     def pairwise_index(self, other: "WidthClassIndex", a_slots, b_slots) -> np.ndarray:
-        """Aligned cross-buffer counts: *this* slot ``a_slots[k]`` vs ``other``'s ``b_slots[k]``.
+        """Aligned counts: *this* slot ``a_slots[k]`` vs ``other``'s ``b_slots[k]``.
 
-        The pairs-list counterpart of :meth:`cross_index`: each requested pair
-        straddles two packed buffers (e.g. two spilled shards), and pairs are
-        grouped by their (width, width) class combination so every group runs
-        as one vectorised row-aligned fold instead of a dense rectangle.  As
-        with :meth:`cross_index`, both buffers must be interleaved at the same
-        granularity ``r0``; width nesting is checked here.  With
-        ``other is self`` this matches :meth:`pairwise_slots` exactly.
+        The pairs-list counterpart of :meth:`cross_index` (``other`` may be
+        ``self``): pairs are grouped by their (width, width) class
+        combination so every group runs as one vectorised row-aligned fold
+        instead of a dense rectangle; the result keeps the input order.  As
+        with :meth:`cross_index`, two buffers must be interleaved at the
+        same granularity ``r0``; width nesting is checked here.
         """
         a_slots = np.asarray(a_slots, dtype=np.int64).ravel()
         b_slots = np.asarray(b_slots, dtype=np.int64).ravel()
@@ -420,38 +339,21 @@ class WidthClassIndex:
         out = np.empty(a_slots.size, dtype=np.int64)
         if a_slots.size == 0:
             return out
-        merged = np.unique(np.concatenate([self.class_widths, other.class_widths]))
-        for small, large in zip(merged[:-1], merged[1:]):
-            require(int(large) % int(small) == 0,
-                    f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                    "both shards must be packed from the same nested range family")
+        self._check_other(other)
         combos = np.stack([self.class_of[a_slots], other.class_of[b_slots]], axis=1)
         for ci_idx, cj_idx in np.unique(combos, axis=0).tolist():
             mask = (combos[:, 0] == ci_idx) & (combos[:, 1] == cj_idx)
-            a = self._rows(a_slots[mask], ci_idx)
-            b = other._rows(b_slots[mask], cj_idx)
-            width_a = int(self.class_widths[ci_idx])
-            width_b = int(other.class_widths[cj_idx])
-            if width_a >= width_b:
-                wide, narrow, width_small = a, b, width_b
-            else:
-                wide, narrow, width_small = b, a, width_a
-            reps = max(width_a, width_b) // width_small
+            a = self._gather(a_slots[mask])
+            b = other._gather(b_slots[mask])
+            wide, narrow = (a, b) if a.shape[1] >= b.shape[1] else (b, a)
+            width_small = narrow.shape[1]
             acc = np.zeros(int(mask.sum()), dtype=np.int64)
             narrow_w = _view_widest(narrow)
-            for block in range(reps):
+            for block in range(wide.shape[1] // width_small):
                 sl = slice(block * width_small, (block + 1) * width_small)
                 acc += _match_count_rows(_view_widest(wide[:, sl]), narrow_w)
             out[mask] = acc
         return out
-
-
-#: Upper bound on the entries of one sparse-mode count tile (the dense
-#: ``(rows, cols)`` int64 block that exists only transiently between the
-#: SWAR fold and the nonzero extraction).  2**20 entries keep each
-#: temporary at 8 MB — small enough that the sparse path's peak is governed
-#: by the stored nonzeros, not by tile scratch.
-SPARSE_TILE_ENTRIES = 1 << 20
 
 
 def width_slot_bounds(widths, failed_per_slot=None) -> np.ndarray:
@@ -471,132 +373,21 @@ def width_slot_bounds(widths, failed_per_slot=None) -> np.ndarray:
     return bounds
 
 
-def sparse_all_pairs(
-    index: WidthClassIndex,
-    *,
-    consume,
-    bounds=None,
-    threshold=None,
-    tile_entries: int = SPARSE_TILE_ENTRIES,
-) -> dict:
-    """All-pairs counting as a stream of pruned tiles instead of one matrix.
-
-    Walks the same class-pair structure as :meth:`WidthClassIndex.all_pairs`
-    but chunks each class pair into row tiles of at most ``tile_entries``
-    entries and hands every *computed* tile to ``consume(rows, cols, block)``
-    (slot-space axes) instead of scattering into a preallocated ``n x n``
-    result.  Before any SWAR work, each tile's count upper bound —
-    ``min(max(bounds[rows]), max(bounds[cols]))`` — is tested against the
-    caller's running ``threshold()``; tiles strictly below it are skipped
-    entirely.  Same-class tiles are pre-masked to the slot-space upper
-    triangle so each unordered pair reaches ``consume`` exactly once
-    (diagonal self-counts included).
-
-    Returns pruning telemetry: ``{"tiles_total": ..., "tiles_skipped": ...}``.
-    """
-    require_positive(tile_entries, "tile_entries")
-    thr = threshold if threshold is not None else (lambda: 0)
-    if bounds is not None:
-        bounds = np.asarray(bounds, dtype=np.int64)
-    stats = {"tiles_total": 0, "tiles_skipped": 0}
-    for ci in range(index.n_classes):
-        cols = index.members[ci]
-        b = index.class_words(ci)
-        col_bound = int(bounds[cols].max()) if bounds is not None else None
-        for cj in range(ci, index.n_classes):
-            rows_all = index.members[cj]
-            chunk = max(1, tile_entries // max(1, cols.size))
-            for start in range(0, rows_all.size, chunk):
-                rows = rows_all[start:start + chunk]
-                stats["tiles_total"] += 1
-                floor = thr()
-                if floor > 0 and bounds is not None:
-                    if min(int(bounds[rows].max()), col_bound) < floor:
-                        stats["tiles_skipped"] += 1
-                        continue
-                a = index._rows(rows, cj)
-                block = index._folded_counts(a, b)
-                if ci == cj:
-                    block = np.where(rows[:, None] <= cols[None, :], block, 0)
-                consume(rows, cols, block)
-    return stats
-
-
-def sparse_cross(
-    index: WidthClassIndex,
-    other: WidthClassIndex,
-    *,
-    consume,
-    row_slots=None,
-    col_slots=None,
-    row_bounds=None,
-    col_bounds=None,
-    threshold=None,
-    tile_entries: int = SPARSE_TILE_ENTRIES,
-) -> dict:
-    """Rectangular counting as a stream of pruned tiles (cross-buffer safe).
-
-    The sparse counterpart of :meth:`WidthClassIndex.cross_index`: rows are
-    gathered from ``index``, columns from ``other`` (which may be ``index``
-    itself), grouped by width-class pair, chunked to ``tile_entries`` and
-    pruned against ``threshold()`` exactly as :func:`sparse_all_pairs` does.
-    ``consume(rows, cols, block)`` receives *slot ids* on each side — every
-    ordered (row, col) pair exactly once, no triangle masking — so the
-    caller owns the slot-to-global mapping and any symmetry canonicalisation.
-    """
-    require_positive(tile_entries, "tile_entries")
-    thr = threshold if threshold is not None else (lambda: 0)
-    row_slots = (np.arange(index.n_slots) if row_slots is None
-                 else np.asarray(row_slots, dtype=np.int64).ravel())
-    col_slots = (np.arange(other.n_slots) if col_slots is None
-                 else np.asarray(col_slots, dtype=np.int64).ravel())
-    stats = {"tiles_total": 0, "tiles_skipped": 0}
-    if row_slots.size == 0 or col_slots.size == 0:
-        return stats
-    if row_bounds is not None:
-        row_bounds = np.asarray(row_bounds, dtype=np.int64)
-    if col_bounds is not None:
-        col_bounds = np.asarray(col_bounds, dtype=np.int64)
-    merged = np.unique(np.concatenate([index.class_widths, other.class_widths]))
-    for small, large in zip(merged[:-1], merged[1:]):
-        require(int(large) % int(small) == 0,
-                f"cross-buffer widths {int(large)} and {int(small)} do not nest; "
-                "both shards must be packed from the same nested range family")
-    for cj_idx in np.unique(other.class_of[col_slots]).tolist():
-        cols = col_slots[other.class_of[col_slots] == cj_idx]
-        b = other._rows(cols, cj_idx)
-        col_bound = (int(col_bounds[cols].max())
-                     if col_bounds is not None else None)
-        for ci_idx in np.unique(index.class_of[row_slots]).tolist():
-            rows_in_class = row_slots[index.class_of[row_slots] == ci_idx]
-            chunk = max(1, tile_entries // max(1, cols.size))
-            for start in range(0, rows_in_class.size, chunk):
-                rows = rows_in_class[start:start + chunk]
-                stats["tiles_total"] += 1
-                floor = thr()
-                if (floor > 0 and row_bounds is not None
-                        and col_bounds is not None):
-                    if min(int(row_bounds[rows].max()), col_bound) < floor:
-                        stats["tiles_skipped"] += 1
-                        continue
-                a = index._rows(rows, ci_idx)
-                if a.shape[1] >= b.shape[1]:
-                    block = index._folded_counts(a, b)
-                else:
-                    block = index._folded_counts(b, a).T
-                consume(rows, cols, block)
-    return stats
-
-
 class BatchPairCounter:
-    """All-pairs / pairs-list / top-k intersection counts for one collection.
+    """All-pairs / pairs-list / cross / top-k intersection counts for one collection.
 
-    The engine validates compatibility once, gathers the packed words once,
-    and answers every subsequent query with broadcasted NumPy SWAR — no
-    per-pair Python call.  Build it through
-    :meth:`repro.core.collection.BatmapCollection.batch_counter`, which caches
-    one instance per collection.
+    The engine validates compatibility once and answers every query as a
+    stream of tiles through the one pipeline of :mod:`repro.core.pipeline`
+    — no per-pair Python call.  This class runs the tiles inline (one
+    worker); :class:`~repro.parallel.executor.ParallelPairCounter` is the
+    same engine with a process pool behind :meth:`_run`.  Build it through
+    :meth:`repro.core.collection.BatmapCollection.batch_counter`, which
+    caches one instance per collection.
     """
+
+    #: tiles run inline, sized for one worker (the pool engine overrides both)
+    workers = 1
+    tile_size = None
 
     def __init__(self, collection, *, block_words: int = DEFAULT_BLOCK_WORDS) -> None:
         self.collection = collection
@@ -608,10 +399,11 @@ class BatchPairCounter:
         )
         self._counts_sorted = None
 
-    @property
-    def classes(self) -> list[WidthClass]:
-        """The width classes as dense matrices (materialised on access)."""
-        return [self.index.width_class(i) for i in range(self.index.n_classes)]
+    def __enter__(self) -> "BatchPairCounter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
 
     # ------------------------------------------------------------------ #
     # Validation (once per engine, replacing the per-pair _check_compatible)
@@ -637,12 +429,29 @@ class BatchPairCounter:
             )
 
     # ------------------------------------------------------------------ #
+    # The pipeline hooks
+    # ------------------------------------------------------------------ #
+    def _run(self, tiles, sink):
+        """Run tiles inline into ``sink`` and return its result."""
+        return sink.result(run_tiles(tiles, sink, [self.index]))
+
+    def _edge(self, n: int) -> int:
+        return self.tile_size or auto_tile_edge(n, self.workers)
+
+    def _triangle(self, ids, sink, bounds=None):
+        """All pairs of the collection, slot ``s`` reported as ``ids[s]``."""
+        tiles = triangle_tiles([ids], self._edge(ids.size),
+                               None if bounds is None else [bounds])
+        return self._run(tiles, sink)
+
+    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def counts_sorted(self) -> np.ndarray:
         """Dense ``n x n`` count matrix in width-sorted (device) order, cached."""
         if self._counts_sorted is None:
-            self._counts_sorted = self.index.all_pairs()
+            n = len(self.collection)
+            self._counts_sorted = self._triangle(np.arange(n), DenseSink(n))
         return self._counts_sorted
 
     def count_all_pairs(self) -> np.ndarray:
@@ -657,10 +466,13 @@ class BatchPairCounter:
         pairs = np.asarray(pairs, dtype=np.int64)
         require(pairs.ndim == 2 and pairs.shape[1] == 2,
                 f"pairs must have shape (k, 2), got {pairs.shape}")
-        if pairs.shape[0] == 0:
+        total = pairs.shape[0]
+        if total == 0:
             return np.zeros(0, dtype=np.int64)
         rank = self.collection.rank
-        return self.index.pairwise_slots(rank[pairs[:, 0]], rank[pairs[:, 1]])
+        tiles = aligned_tiles(rank[pairs[:, 0]], rank[pairs[:, 1]],
+                              -(-total // (4 * self.workers)))
+        return self._run(tiles, PairsSink(total))
 
     def count_pair(self, i: int, j: int) -> int:
         """Stored-copy intersection count of original sets ``i`` and ``j``."""
@@ -675,7 +487,9 @@ class BatchPairCounter:
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         rank = self.collection.rank
-        return self.index.cross_slots(rank[rows], rank[cols])
+        tiles = rectangle_tiles(rank[rows], rank[cols],
+                                self._edge(max(rows.size, cols.size)))
+        return self._run(tiles, DenseSink(rows.size, cols.size, symmetric=False))
 
     def top_k(self, k: int) -> list:
         """The ``k`` off-diagonal pairs with the largest counts.
@@ -684,24 +498,7 @@ class BatchPairCounter:
         descending by count with ties broken by the index pair (the same
         ranking convention as :meth:`repro.mining.support.PairSupports.top_k`).
         """
-        require_positive(k, "k")
-        counts = self.count_all_pairs()
-        n = counts.shape[0]
-        iu, ju = np.triu_indices(n, 1)
-        values = counts[iu, ju]
-        k = min(k, values.size)
-        if k == 0:
-            return []
-        # partial-select, then widen to every pair tied at the selection
-        # boundary so rank ties resolve by the index convention (argpartition
-        # alone picks an arbitrary subset of boundary ties), then exact-sort
-        # only that candidate pool
-        candidate = np.argpartition(values, -k)[-k:]
-        boundary = int(values[candidate].min())
-        pool = np.nonzero(values >= boundary)[0]
-        order = np.lexsort((ju[pool], iu[pool], -values[pool]))
-        ranked = pool[order][:k]
-        return [((int(iu[idx]), int(ju[idx])), int(values[idx])) for idx in ranked]
+        return self.count_result(top_k=k).ranked()
 
     # ------------------------------------------------------------------ #
     # CountResult-producing queries (sparse / pruned / top-k)
@@ -724,74 +521,34 @@ class BatchPairCounter:
         min_support: int = 0,
         top_k: int | None = None,
         bounds=None,
-        tile_entries: int = SPARSE_TILE_ENTRIES,
     ):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
 
         ``result_format="dense"`` wraps the cached dense matrix (the oracle
-        path, unchanged).  ``"sparse"`` streams pruned tiles through
-        :func:`sparse_all_pairs`: tiles whose count upper bound (from
-        ``bounds``, default :meth:`slot_bounds`) falls below ``min_support``
-        are skipped before any SWAR work, and surviving nonzeros accumulate
-        as COO triplets in original index order.  ``top_k=k`` instead keeps
-        a running heap whose floor tightens the pruning threshold as it
+        path, unchanged).  ``"sparse"`` streams the tiles into a
+        :class:`~repro.core.pipeline.SparseSink`: tiles whose count upper
+        bound (from ``bounds``, default :meth:`slot_bounds`) falls below
+        ``min_support`` are skipped before any SWAR work, and surviving
+        nonzeros accumulate as COO triplets in original index order.
+        ``top_k=k`` instead feeds a :class:`~repro.core.pipeline.TopKSink`
+        whose running heap floor tightens the pruning threshold as it
         fills, returning a :class:`~repro.core.results.TopKCountResult`.
         """
         require(result_format in ("dense", "sparse"),
                 f"result_format must be 'dense' or 'sparse', got {result_format!r}")
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
-        order = self.collection.order
-        n = len(order)
-        if bounds is None:
-            bounds = self.slot_bounds()
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-
-            def consume_topk(rows, cols, block):
-                floor = max(1, min_support, acc.floor)
-                r_local, c_local = np.nonzero(block >= floor)
-                if r_local.size == 0:
-                    return
-                oi = order[rows[r_local]]
-                oj = order[cols[c_local]]
-                keep = oi != oj
-                if not keep.any():
-                    return
-                values = block[r_local, c_local][keep]
-                oi, oj = oi[keep], oj[keep]
-                acc.push(np.minimum(oi, oj), np.maximum(oi, oj), values)
-
-            stats = sparse_all_pairs(
-                self.index, consume=consume_topk, bounds=bounds,
-                threshold=lambda: max(min_support, acc.floor),
-                tile_entries=tile_entries)
-            return acc.result(n, min_support=min_support, stats=stats,
-                              fill_zeros=min_support <= 1)
-        if result_format == "dense":
+        if top_k is None and result_format == "dense":
             # the dense path computes every count — nothing is pruned, so
             # the result carries no filtering floor
             return DenseCountResult(self.count_all_pairs())
-        sparse = SparseAccumulator(n, min_support=min_support)
+        n = len(self.collection)
+        sink = (TopKSink(top_k, n, min_support=min_support) if top_k is not None
+                else SparseSink(n, min_support=min_support))
+        bounds = (self.slot_bounds() if bounds is None
+                  else np.asarray(bounds, dtype=np.int64))
+        return self._triangle(self.collection.order, sink, bounds)
 
-        def consume(rows, cols, block):
-            sparse.add_block(order[rows], order[cols], block)
-
-        stats = sparse_all_pairs(
-            self.index, consume=consume, bounds=bounds,
-            threshold=lambda: min_support, tile_entries=tile_entries)
-        sparse.tiles_total = stats["tiles_total"]
-        sparse.tiles_skipped = stats["tiles_skipped"]
-        return sparse.finalize()
-
-    def count_cross_result(
-        self,
-        rows,
-        cols,
-        *,
-        min_support: int = 0,
-        bounds=None,
-        tile_entries: int = SPARSE_TILE_ENTRIES,
-    ):
+    def count_cross_result(self, rows, cols, *, min_support: int = 0, bounds=None):
         """Rectangular counts (:meth:`count_cross` shape) as a sparse result.
 
         ``rows`` / ``cols`` are *original* set indices (each side free of
@@ -809,27 +566,9 @@ class BatchPairCounter:
                 and np.unique(cols).size == cols.size,
                 "count_cross_result requires duplicate-free index lists")
         rank = self.collection.rank
-        row_slots = rank[rows]
-        col_slots = rank[cols]
-        n = len(self.collection)
-        row_of = np.full(n, -1, dtype=np.int64)
-        row_of[row_slots] = np.arange(rows.size)
-        col_of = np.full(n, -1, dtype=np.int64)
-        col_of[col_slots] = np.arange(cols.size)
-        if bounds is None:
-            bounds = self.slot_bounds()
-        acc = SparseAccumulator(rows.size, cols.size, symmetric=False,
-                                min_support=min_support)
-
-        def consume(r_slots, c_slots, block):
-            acc.add_block(row_of[r_slots], col_of[c_slots], block)
-
-        stats = sparse_cross(
-            self.index, self.index, consume=consume,
-            row_slots=row_slots, col_slots=col_slots,
-            row_bounds=bounds, col_bounds=bounds,
-            threshold=(lambda: min_support) if min_support > 0 else None,
-            tile_entries=tile_entries)
-        acc.tiles_total = stats["tiles_total"]
-        acc.tiles_skipped = stats["tiles_skipped"]
-        return acc.finalize()
+        bounds = (self.slot_bounds() if bounds is None
+                  else np.asarray(bounds, dtype=np.int64))
+        tiles = rectangle_tiles(rank[rows], rank[cols],
+                                self._edge(max(rows.size, cols.size)), [bounds])
+        return self._run(tiles, SparseSink(rows.size, cols.size, symmetric=False,
+                                           min_support=min_support))

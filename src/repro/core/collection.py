@@ -338,6 +338,22 @@ class BatmapCollection:
             return count_common(self.batmap(i), self.batmap(j))
         return self._batch_counter.count_pair(i, j)
 
+    def pair_counter(self, plan):
+        """The counting engine a :class:`~repro.core.plan.CountPlan` names.
+
+        ``"parallel"`` opens a :class:`~repro.parallel.executor.ParallelPairCounter`
+        with the plan's workers; every other plan runs the tiles inline on
+        the cached batch engine.  Both are context managers with the same
+        queries, so callers write one ``with`` block for either.  (The
+        per-pair ``"host"`` reference and the simulated ``"kernel"`` are not
+        tile engines; callers branch on them before asking for a counter.)
+        """
+        if plan.backend == "parallel":
+            from repro.parallel.executor import ParallelPairCounter  # parallel sits above core
+
+            return ParallelPairCounter(self, workers=plan.workers)
+        return self.batch_counter()
+
     def count_all_pairs(
         self,
         *,
@@ -392,14 +408,10 @@ class BatmapCollection:
             "parallel" if parallel else ("batch" if byte_packable else "host")
         )
         plan = plan_counts(self, requested=requested, workers=workers)
-        if plan.backend == "parallel" and byte_packable:
-            from repro.parallel.executor import ParallelPairCounter
-
-            with ParallelPairCounter(self, workers=workers) as counter:
-                return counter.count_all_pairs()
         if plan.backend == "host" or not byte_packable:
             return self._count_all_pairs_loop()
-        return self.batch_counter().count_all_pairs()
+        with self.pair_counter(plan) as counter:
+            return counter.count_all_pairs()
 
     def count_result(
         self,
@@ -435,16 +447,11 @@ class BatmapCollection:
         features = PlanFeatures.from_collection(
             self, result_format=fmt, min_support=min_support)
         plan = plan_counts(features, requested=requested, workers=workers)
-        if plan.backend == "parallel" and byte_packable:
-            from repro.parallel.executor import ParallelPairCounter
-
-            with ParallelPairCounter(self, workers=workers) as counter:
-                return counter.count_result(
-                    result_format=fmt, min_support=min_support, top_k=top_k)
         if plan.backend == "host" or not byte_packable:
             return self._loop_count_result(fmt, min_support, top_k)
-        return self.batch_counter().count_result(
-            result_format=fmt, min_support=min_support, top_k=top_k)
+        with self.pair_counter(plan) as counter:
+            return counter.count_result(
+                result_format=fmt, min_support=min_support, top_k=top_k)
 
     def _loop_count_result(self, fmt: str, min_support: int, top_k):
         """Reference-loop counts converted to the requested result shape.

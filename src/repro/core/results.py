@@ -80,7 +80,15 @@ def coalesce_coo(rows, cols, values, *, sort_only: bool = False):
             "rows, cols and values must have the same length")
     if rows.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
-    order = np.lexsort((cols, rows))
+    # One stable sort on a combined (row, col) key gives the lexsort order
+    # at about half the cost (index spans stay far below 2**31).
+    col_min = cols.min()
+    key = rows - rows.min()
+    key *= cols.max() - col_min + 1
+    key += cols
+    key -= col_min
+    order = np.argsort(key, kind="stable")
+    del key
     rows, cols, values = rows[order], cols[order], values[order]
     if not sort_only:
         new_group = np.empty(rows.size, dtype=bool)
@@ -523,17 +531,6 @@ class TopKAccumulator:
                 heapq.heappush(heap, entry)
             elif entry > heap[0]:
                 heapq.heapreplace(heap, entry)
-
-    def push_block(self, rows, cols, block) -> None:
-        """Offer one dense count tile (final-index axes, like ``add_block``)."""
-        block = np.asarray(block)
-        floor = max(1, self.floor)
-        r_local, c_local = np.nonzero(block >= floor)
-        if r_local.size == 0:
-            return
-        self.push(np.asarray(rows, dtype=np.int64)[r_local],
-                  np.asarray(cols, dtype=np.int64)[c_local],
-                  block[r_local, c_local])
 
     def result(self, n_rows: int, *, min_support: int = 0,
                stats: dict | None = None, fill_zeros: bool = True,

@@ -255,6 +255,22 @@ def _load_shard_array(shard_index: int, path: Path, *,
             "incomplete; run 'repro verify'") from exc
 
 
+def attach_shard(directory: Path, shard_index: int, *,
+                 block_words=None) -> WidthClassIndex:
+    """Memory-map one spilled shard's words as a width-class engine.
+
+    Shared by :meth:`ShardedCollection.attach` and the pool workers that
+    re-attach shards by path, so both surface damage as the same
+    ``SpillFormatError``.
+    """
+    directory = Path(directory)
+    words = _load_shard_array(shard_index, directory / "words.npy", mmap_mode="r")
+    offsets = _load_shard_array(shard_index, directory / "offsets.npy")
+    widths = _load_shard_array(shard_index, directory / "widths.npy")
+    kwargs = {} if block_words is None else {"block_words": block_words}
+    return WidthClassIndex(words, offsets, widths, **kwargs)
+
+
 def shard_digests(shard: ShardInfo) -> dict:
     """The shard's per-file digest table, computing it on first need.
 
@@ -1242,17 +1258,11 @@ class ShardedCollection:
         """Memory-map one shard's words and build its width-class engine.
 
         The returned index gathers rows lazily — attaching is cheap, and a
-        query's resident cost is the rows it touches (plus the index's
-        per-class cache once whole-class queries run).  Callers own the
+        query's resident cost is the rows it touches.  Callers own the
         lifetime: dropping the index releases the mapping.
         """
-        shard = self.shards[shard_index]
-        words = _load_shard_array(shard_index, shard.directory / "words.npy",
-                                  mmap_mode="r")
-        offsets = _load_shard_array(shard_index, shard.directory / "offsets.npy")
-        widths = _load_shard_array(shard_index, shard.directory / "widths.npy")
-        kwargs = {} if block_words is None else {"block_words": block_words}
-        return WidthClassIndex(words, offsets, widths, **kwargs)
+        return attach_shard(self.shards[shard_index].directory, shard_index,
+                            block_words=block_words)
 
     def failed_insertions(self) -> dict:
         """Map ``element -> [live set indices]`` of failed insertions.

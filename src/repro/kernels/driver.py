@@ -121,40 +121,21 @@ def run_batmap_pair_counts(
     buffer = collection.device_buffer()
     sim.upload("batmaps", buffer.words)
 
-    if compute == "auto":
+    if compute != "kernel":
         from repro.core.plan import plan_counts
 
-        plan = plan_counts(collection, workers=workers)
-        # The driver always produces a full sorted-order matrix; "host"
-        # (point-query) plans have no cheaper shape here, so they run on the
-        # batch engine.
-        compute = "parallel" if plan.backend == "parallel" else "batch"
-
-    if compute == "parallel":
-        # Deferred import: repro.parallel.executor itself imports the tiling
-        # module of this package, so a module-level import would be circular.
-        from repro.parallel.executor import ParallelPairCounter, recommended_backend
-
-        if recommended_backend(collection, workers=workers) == "parallel":
-            with ParallelPairCounter(collection, workers=workers) as counter:
-                if sparse:
-                    result = counter.count_result(
-                        result_format="sparse", min_support=min_support)
-                    return DeviceRunResult(
-                        counts=None, simulator=sim, tiles=0, result=result,
-                        tiles_skipped=(result.stats or {}).get("tiles_skipped", 0))
-                counts = counter.counts_sorted().copy()
-            return DeviceRunResult(counts=counts, simulator=sim, tiles=0)
-        compute = "batch"
-
-    if compute == "batch":
-        if sparse:
-            result = collection.batch_counter().count_result(
-                result_format="sparse", min_support=min_support)
-            return DeviceRunResult(
-                counts=None, simulator=sim, tiles=0, result=result,
-                tiles_skipped=(result.stats or {}).get("tiles_skipped", 0))
-        counts = collection.batch_counter().counts_sorted().copy()
+        # The result is always the full sorted-order one; "host"
+        # (point-query) plans have no cheaper shape for it, so every plan but
+        # "parallel" runs inline on the batch engine.
+        plan = plan_counts(collection, requested=compute, workers=workers)
+        with collection.pair_counter(plan) as counter:
+            if sparse:
+                result = counter.count_result(
+                    result_format="sparse", min_support=min_support)
+                return DeviceRunResult(
+                    counts=None, simulator=sim, tiles=0, result=result,
+                    tiles_skipped=result.stats["tiles_skipped"])
+            counts = counter.counts_sorted().copy()
         return DeviceRunResult(counts=counts, simulator=sim, tiles=0)
 
     order = collection.order

@@ -24,6 +24,7 @@ from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
 from repro.core.intersection import count_common
 from repro.core.plan import plan_counts
+from repro.core.results import SparseCountResult
 from repro.gpu.device import DeviceSpec, GTX_285
 from repro.kernels.driver import run_batmap_pair_counts
 from repro.matrix.boolean import SparseBooleanMatrix
@@ -216,43 +217,30 @@ def multiply_batmap(
     rows_idx = np.arange(a.n_rows)
     cols_idx = a.n_rows + np.arange(b.n_cols)
     byte_packable = collection.r0 >= 4 and config.entry_storage_bits == 8
-    if result_format == "sparse":
-        if byte_packable:
-            # The pruned streaming path (serial batch engine: the executor
-            # has no rectangular sparse shape, and the point of sparse here
-            # is the result footprint, not the counting wall clock).
-            result = collection.batch_counter().count_cross_result(
-                rows_idx, cols_idx, min_support=min_support)
-        else:
-            from repro.core.results import SparseAccumulator
-
-            acc = SparseAccumulator(a.n_rows, b.n_cols, symmetric=False,
-                                    min_support=min_support)
-            block = np.empty((1, b.n_cols), dtype=np.int64)
-            for i in range(a.n_rows):
-                bm_i = collection.batmap(int(rows_idx[i]))
-                for j in range(b.n_cols):
-                    block[0, j] = count_common(
-                        bm_i, collection.batmap(int(cols_idx[j])))
-                acc.add_block(rows_idx[i:i + 1], np.arange(b.n_cols), block)
-            acc.tiles_total = a.n_rows
-            result = acc.finalize()
-        return _repair_cross_result(result, collection, a, b)
+    sparse = result_format == "sparse"
+    # A sparse product wants the tile engine's pruning even when the block
+    # is small, so only dense products count as point queries.
     plan = plan_counts(collection, requested=compute, workers=workers,
-                       n_pairs=a.n_rows * b.n_cols)
-    if plan.backend == "parallel" and byte_packable:
-        from repro.parallel.executor import ParallelPairCounter
-
-        with ParallelPairCounter(collection, workers=workers) as counter:
-            product = counter.count_cross(rows_idx, cols_idx)
-    elif plan.backend == "host" or not byte_packable:
+                       n_pairs=None if sparse else a.n_rows * b.n_cols)
+    if plan.backend == "host" or not byte_packable:
         product = np.empty((a.n_rows, b.n_cols), dtype=np.int64)
         for i in range(a.n_rows):
             bm_i = collection.batmap(int(rows_idx[i]))
             for j in range(b.n_cols):
                 product[i, j] = count_common(bm_i, collection.batmap(int(cols_idx[j])))
-    else:
-        product = collection.batch_counter().count_cross(rows_idx, cols_idx)
+        if not sparse:
+            return _repair_cross_product(product, collection, a, b)
+        r, c = np.nonzero(product)
+        result = SparseCountResult(a.n_rows, b.n_cols, rows=r, cols=c,
+                                   values=product[r, c], symmetric=False,
+                                   min_support=min_support)
+        return _repair_cross_result(result, collection, a, b)
+    with collection.pair_counter(plan) as counter:
+        if sparse:
+            result = counter.count_cross_result(rows_idx, cols_idx,
+                                                min_support=min_support)
+            return _repair_cross_result(result, collection, a, b)
+        product = counter.count_cross(rows_idx, cols_idx)
     return _repair_cross_product(product, collection, a, b)
 
 

@@ -37,7 +37,6 @@ from repro.mining.postprocess import (
 )
 from repro.mining.preprocess import preprocess, preprocess_streaming
 from repro.mining.support import MiningReport, PairSupports
-from repro.parallel.executor import ParallelPairCounter
 from repro.utils.memory import parse_memory_size
 from repro.utils.rng import RngLike
 from repro.utils.timer import PhaseTimer
@@ -176,39 +175,27 @@ class BatmapPairMiner:
         features = PlanFeatures.from_collection(
             pre.collection, result_format=fmt, min_support=min_support)
 
-        backend = self.compute
-        if self.compute == "auto":
-            # The planner returns "host" only for layouts the packed engines
-            # cannot represent (the miner never asks for point queries).
-            backend = plan_counts(features, workers=self.workers).backend
-        elif self.compute == "parallel":
-            # Small inputs are not worth a pool — drop to the batch engine.
-            backend = plan_counts(features, requested="parallel",
-                                  workers=self.workers).backend
-        elif self.compute == "host":
-            backend = "batch"
-        # Entries wider than one byte (payload_bits > 7) have no packed word
-        # form: both SWAR engines would raise, only the per-pair reference is
-        # exact.  (compute="device" keeps raising — a layout the simulated
-        # kernel genuinely cannot represent should not be silently softened.)
-        if (backend in ("batch", "parallel")
-                and pre.collection.config.entry_storage_bits != 8):
-            backend = "host"
+        backend = "kernel"
+        if self.compute != "device":
+            # compute="host" names the batch engine; the planner returns
+            # "host" only for layouts the packed engines cannot represent
+            # (the miner never asks for point queries), and demotes
+            # "parallel" to "batch" when a pool cannot pay off.
+            requested = {"auto": "auto", "parallel": "parallel",
+                         "host": "batch"}[self.compute]
+            plan = plan_counts(features, requested=requested, workers=self.workers)
+            backend = plan.backend
+            # Entries wider than one byte (payload_bits > 7) have no packed
+            # word form: only the per-pair reference is exact.
+            # (compute="device" keeps raising — a layout the simulated kernel
+            # genuinely cannot represent should not be silently softened.)
+            if pre.collection.config.entry_storage_bits != 8:
+                backend = "host"
 
         sparse_result = None   # CountResult in original index order
         counts_sorted = None
         result = None
-        if backend == "parallel":
-            # Real multiprocess counting phase, wall-clock timed end to end
-            # (shared segment + pool startup included).
-            with timers.time("count"):
-                with ParallelPairCounter(pre.collection, workers=self.workers) as counter:
-                    if fmt == "sparse":
-                        sparse_result = counter.count_result(
-                            result_format="sparse", min_support=min_support)
-                    else:
-                        counts_sorted = counter.counts_sorted()
-        elif backend == "host":
+        if backend == "host":
             # Per-pair reference loop (exact for every payload width).
             with timers.time("count"):
                 if fmt == "sparse":
@@ -217,16 +204,17 @@ class BatmapPairMiner:
                         min_support=min_support)
                 else:
                     counts_sorted = _host_counts_sorted(pre.collection)
-        elif backend == "batch":
-            # Host counting phase: the vectorised batch engine, wall-clock timed.
+        elif backend != "kernel":
+            # The tile engines, wall-clock timed end to end (for the pool:
+            # shared segment and pool startup included).
             with timers.time("count"):
-                if fmt == "sparse":
-                    sparse_result = pre.collection.batch_counter().count_result(
-                        result_format="sparse", min_support=min_support)
-                else:
-                    counts_sorted = pre.collection.batch_counter().counts_sorted()
+                with pre.collection.pair_counter(plan) as counter:
+                    if fmt == "sparse":
+                        sparse_result = counter.count_result(
+                            result_format="sparse", min_support=min_support)
+                    else:
+                        counts_sorted = counter.counts_sorted()
         else:
-            backend = "kernel"
             # Device phase (timed by the simulator's analytic model, not wall clock).
             result = run_batmap_pair_counts(
                 pre.collection,

@@ -2,21 +2,24 @@
 
 Everything else in :mod:`repro.parallel` *models* parallel execution (the
 split-and-max methodology of Figure 9, the bandwidth-saturation model of
-Figure 11).  This module actually runs it: the packed ``uint32`` device
-buffer a :class:`~repro.core.collection.BatmapCollection` builds for the GPU
-simulator is placed in ``multiprocessing.shared_memory``, the ``n x n`` pair
-space is partitioned into the same upper-triangle tiles the device schedule
-uses (:class:`~repro.kernels.tiling.TileScheduler`), and a pool of worker
-processes re-attaches the buffer **zero-copy** and counts one tile per task
-with the width-class SWAR engine (:class:`~repro.core.batch.WidthClassIndex`).
+Figure 11).  This module actually runs it: it is the pool half of the tile
+pipeline (:mod:`repro.core.pipeline`).
 
-Per-task results are *per-tile count dicts* — ``{tile_key: count_block}`` —
-and the parent folds them into one table with the same serial reduction the
-Figure 9 simulation measures (:func:`~repro.parallel.scaling.merge_part_counts`)
-before scattering the blocks into the dense result matrix.  Because every
-tile is computed by the very same engine the serial batch path uses, the
-parallel counts are bit-identical to ``compute="batch"`` on every workload
-(all-pairs, explicit pair lists, cross rectangles).
+* :func:`open_pool` is the one process pool behind pair counting — one
+  initializer that attaches a tile source (the packed buffer placed in
+  ``multiprocessing.shared_memory`` by :class:`SharedIndexSource`, or the
+  memory-mapped shards of :class:`~repro.parallel.sharded.SpillSource`) and
+  one worker entry that counts a tile with the width-class SWAR engine
+  (:class:`~repro.core.batch.WidthClassIndex`).
+* :func:`run_on_pool` is the runner's pool mode: a small, worker-derived
+  number of tiles stays in flight, and each finished tile goes straight
+  into the query's sink.  Nothing is buffered, so the parent holds the
+  sink's own result plus the in-flight tiles — a sparse result stays
+  proportional to its entries.
+* :class:`ParallelPairCounter` is the batch engine with this runner: the
+  same queries over the same tiles, so the counts are bit-identical to
+  ``compute="batch"`` on every workload (all-pairs, explicit pair lists,
+  cross rectangles, sparse and top-k results).
 
 Lifecycle / safety:
 
@@ -45,14 +48,14 @@ import secrets
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.core.batch import DEFAULT_BLOCK_WORDS, BatchPairCounter, WidthClassIndex
-from repro.core.results import DenseCountResult, SparseAccumulator, TopKAccumulator
-from repro.kernels.tiling import TileScheduler
-from repro.parallel.scaling import ScalingPoint, merge_part_counts
+from repro.core.pipeline import DEFAULT_TILE_CAP, auto_tile_edge, count_block, run_tiles
+from repro.parallel.scaling import ScalingPoint
 from repro.utils.validation import require, require_positive
 
 __all__ = [
@@ -61,7 +64,10 @@ __all__ = [
     "MAX_AUTO_WORKERS",
     "DEFAULT_TILE_CAP",
     "SharedDeviceBuffer",
+    "SharedIndexSource",
     "ParallelPairCounter",
+    "open_pool",
+    "run_on_pool",
     "auto_tile_edge",
     "resolve_worker_count",
     "recommended_backend",
@@ -80,23 +86,6 @@ PARALLEL_MIN_SETS = 256
 #: memory-bound, so (exactly as Figure 11 measures for the CPU SWAR loop)
 #: throughput saturates within a socket long before high core counts.
 MAX_AUTO_WORKERS = 8
-
-#: Upper bound on the auto-selected tile edge.  Small tiles keep the
-#: broadcast SWAR temporaries cache-resident: on the E12 instance a 128-wide
-#: tile counts ~3x faster than a 400-wide one, so auto-tiling never exceeds
-#: this even when few workers would allow larger tiles.
-DEFAULT_TILE_CAP = 128
-
-
-def auto_tile_edge(n: int, workers: int) -> int:
-    """Auto-selected tile side: ~2 tile rows per worker, cache-capped.
-
-    The single source of the tiling policy — the executor's per-query
-    default and the measured-scaling benchmark (which pins one edge across
-    worker counts) must agree, or recorded speed-up curves would measure a
-    different blocking than production uses.
-    """
-    return max(32, min(DEFAULT_TILE_CAP, -(-n // (2 * workers))))
 
 
 def resolve_worker_count(workers=None) -> int:
@@ -188,10 +177,10 @@ class SharedDeviceBuffer:
 
 
 # --------------------------------------------------------------------------- #
-# Worker side
+# The pool: one initializer, one worker entry
 # --------------------------------------------------------------------------- #
 _worker_shm = None
-_worker_index = None
+_worker_indexes = None
 
 
 def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
@@ -211,40 +200,72 @@ def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
-def _init_worker(name, n_words, offsets, widths, block_words) -> None:
-    """Pool initializer: re-attach the buffer and rebuild the SWAR engine.
+@dataclass(frozen=True, eq=False)
+class SharedIndexSource:
+    """Tile source of a packed buffer held in a shared-memory segment.
 
-    The words array is a zero-copy view of the shared mapping; only the
-    per-slot offset/width metadata travels by pickle, once per worker.
+    Only the per-slot offset/width metadata travels by pickle, once per
+    worker; :meth:`attach` views the words zero-copy.
     """
-    global _worker_shm, _worker_index
-    _worker_shm = _attach_shared_memory(name)
-    words = np.frombuffer(_worker_shm.buf, dtype=np.uint32, count=n_words)
-    _worker_index = WidthClassIndex(words, offsets, widths, block_words=block_words)
+
+    name: str
+    n_words: int
+    offsets: np.ndarray
+    widths: np.ndarray
+    block_words: int
+
+    def attach(self) -> list:
+        # The worker keeps the segment in a module global: the mapping must
+        # outlive every ndarray view of it for the worker's lifetime.
+        global _worker_shm
+        _worker_shm = _attach_shared_memory(self.name)
+        words = np.frombuffer(_worker_shm.buf, dtype=np.uint32, count=self.n_words)
+        return [WidthClassIndex(words, self.offsets, self.widths,
+                                block_words=self.block_words)]
 
 
-def _all_pairs_tile(p, q, row_start, row_end, col_start, col_end) -> dict:
-    """One upper-triangle tile of the all-pairs matrix, keyed by tile coords."""
-    block = _worker_index.cross_slots(
-        np.arange(row_start, row_end), np.arange(col_start, col_end)
+def _init_worker(source) -> None:
+    """Pool initializer: attach the tile source (shared memory or spill) once."""
+    global _worker_indexes
+    _worker_indexes = source.attach()
+
+
+def _count_tile(tile) -> np.ndarray:
+    """The worker entry: one tile's counts over the attached source."""
+    return count_block(_worker_indexes, tile)
+
+
+def open_pool(workers: int, source, mp_context=None) -> ProcessPoolExecutor:
+    """The pair-counting process pool; every worker attaches ``source`` once.
+
+    ``source`` is any picklable object whose ``attach()`` returns an
+    indexable of :class:`~repro.core.batch.WidthClassIndex` (one per
+    shard): :class:`SharedIndexSource` for an in-memory collection,
+    :class:`~repro.parallel.sharded.SpillSource` for spilled shards.
+    """
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=mp_context or multiprocessing.get_context(),
+        initializer=_init_worker,
+        initargs=(source,),
     )
-    return {(p, q): block}
 
 
-def _cross_tile(p, q, row_slots, col_slots) -> dict:
-    """One tile of a cross-rectangle workload, keyed by tile coords."""
-    return {(p, q): _worker_index.cross_slots(row_slots, col_slots)}
+def run_on_pool(pool: ProcessPoolExecutor, workers: int, tiles, sink) -> dict:
+    """:func:`~repro.core.pipeline.run_tiles` with the tiles counted by ``pool``.
 
-
-def _pairwise_chunk(start, a_slots, b_slots) -> dict:
-    """One chunk of an explicit pairs-list workload, keyed by output offset."""
-    return {start: _worker_index.pairwise_slots(a_slots, b_slots)}
+    Two tiles per worker stay in flight: enough that no worker idles while
+    the parent feeds a finished tile to the sink, few enough that the
+    parent's resident tiles stay a small constant.
+    """
+    return run_tiles(tiles, sink, submit=lambda tile: pool.submit(_count_tile, tile),
+                     max_inflight=2 * workers)
 
 
 # --------------------------------------------------------------------------- #
 # Parent-side executor
 # --------------------------------------------------------------------------- #
-class ParallelPairCounter:
+class ParallelPairCounter(BatchPairCounter):
     """Multiprocess counterpart of :class:`~repro.core.batch.BatchPairCounter`.
 
     Use as a context manager::
@@ -252,10 +273,11 @@ class ParallelPairCounter:
         with ParallelPairCounter(collection, workers=4) as counter:
             counts = counter.count_all_pairs()
 
-    Queries mirror the batch engine (:meth:`counts_sorted`,
-    :meth:`count_all_pairs`, :meth:`count_pairs`, :meth:`count_cross`) and
-    return bit-identical results; the work is tiled, fanned out to the pool,
-    and reduced with :func:`~repro.parallel.scaling.merge_part_counts`.
+    The queries are the batch engine's (:meth:`counts_sorted`,
+    :meth:`count_all_pairs`, :meth:`count_result`, :meth:`count_pairs`,
+    :meth:`count_cross`, ...) and return bit-identical results; only the
+    runner differs — tiles are counted by the pool and each finished tile
+    goes straight into the query's sink.
     """
 
     def __init__(
@@ -267,18 +289,19 @@ class ParallelPairCounter:
         block_words: int = DEFAULT_BLOCK_WORDS,
         mp_context=None,
     ) -> None:
-        BatchPairCounter._validate(collection)
         if tile_size is not None:
             require_positive(tile_size, "tile_size")
-        self.collection = collection
+        super().__init__(collection, block_words=block_words)
         self.workers = resolve_worker_count(workers)
         self.tile_size = tile_size
-        self.block_words = int(block_words)
         self._mp_context = mp_context
-        self._buffer = collection.device_buffer()
         self._shared = None
         self._pool = None
-        self._counts_sorted = None
+
+    # Bound in this class's own namespace so each engine's query entry
+    # points can be instrumented separately (perfbench/traced_cli.py).
+    counts_sorted = BatchPairCounter.counts_sorted
+    count_result = BatchPairCounter.count_result
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -287,20 +310,14 @@ class ParallelPairCounter:
         """Create the shared segment and spin up the pool (idempotent)."""
         if self._pool is not None:
             return self
-        self._shared = SharedDeviceBuffer(self._buffer.words)
+        buffer = self.collection.device_buffer()
+        self._shared = SharedDeviceBuffer(buffer.words)
         try:
-            ctx = self._mp_context or multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(
-                    self._shared.name,
-                    self._shared.n_words,
-                    self._buffer.offsets,
-                    self._buffer.widths,
-                    self.block_words,
-                ),
+            self._pool = open_pool(
+                self.workers,
+                SharedIndexSource(self._shared.name, self._shared.n_words,
+                                  buffer.offsets, buffer.widths, self.block_words),
+                self._mp_context,
             )
         except BaseException:
             self._shared.unlink()
@@ -325,200 +342,10 @@ class ParallelPairCounter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # Fan-out / reduce
-    # ------------------------------------------------------------------ #
-    def _tile_edge(self, n: int) -> int:
-        """Tile side length: explicit, or the shared auto-tiling policy."""
-        if self.tile_size is not None:
-            return self.tile_size
-        return auto_tile_edge(n, self.workers)
-
-    def _map_merge(self, fn, tasks) -> dict:
-        """Submit every task, then serially fold the per-tile dicts into one.
-
-        The reduction is the same :func:`merge_part_counts` the Figure 9
-        simulation measures as its serial term — here applied to dicts whose
-        values are count blocks, so the fold cost is per tile, not per pair.
-        """
+    def _run(self, tiles, sink):
+        """Count tiles on the pool, streaming each finished one into ``sink``."""
         self.start()
-        futures = [self._pool.submit(fn, *task) for task in tasks]
-        try:
-            parts = [future.result() for future in futures]
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return merge_part_counts(parts)
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-    def counts_sorted(self) -> np.ndarray:
-        """Dense ``n x n`` count matrix in width-sorted (device) order, cached."""
-        if self._counts_sorted is None:
-            n = len(self.collection)
-            edge = self._tile_edge(n)
-            tasks = [
-                (t.p, t.q, t.row_start, t.row_end, t.col_start, t.col_end)
-                for t in TileScheduler(n, edge)
-            ]
-            merged = self._map_merge(_all_pairs_tile, tasks)
-            out = np.zeros((n, n), dtype=np.int64)
-            for (p, q), block in merged.items():
-                rows = slice(p * edge, p * edge + block.shape[0])
-                cols = slice(q * edge, q * edge + block.shape[1])
-                out[rows, cols] = block
-                if p != q:
-                    out[cols, rows] = block.T
-            self._counts_sorted = out
-        return self._counts_sorted
-
-    def count_all_pairs(self) -> np.ndarray:
-        """Dense ``n x n`` count matrix indexed by *original* set indices."""
-        order = self.collection.order
-        out = np.empty_like(self.counts_sorted())
-        out[np.ix_(order, order)] = self.counts_sorted()
-        return out
-
-    def slot_bounds(self) -> np.ndarray:
-        """Per-slot count upper bounds from exact set sizes (width-sorted order).
-
-        Same bound as :meth:`BatchPairCounter.slot_bounds`: ``Batmap.set_size``
-        counts stored and failed insertions, so it also bounds the post-repair
-        support — tile skipping stays sound under the miner's ``min_support``.
-        """
-        return np.array([bm.set_size for bm in self.collection.batmaps_sorted],
-                        dtype=np.int64)
-
-    def count_result(
-        self,
-        *,
-        result_format: str = "dense",
-        min_support: int = 0,
-        top_k=None,
-        bounds=None,
-    ):
-        """All-pairs counts as a :class:`~repro.core.results.CountResult`.
-
-        The pruning happens on the *parent* side, before fan-out: every
-        upper-triangle tile whose count upper bound (from ``bounds``, default
-        :meth:`slot_bounds`) falls below the threshold is never submitted to
-        the pool, so skipped tiles cost neither a pickle round-trip nor any
-        SWAR work.  Surviving tile blocks are reduced into a COO accumulator
-        (or a top-k heap) instead of being scattered into a dense matrix, so
-        the parent's resident result stays proportional to the nonzeros.
-        Counts are bit-identical to :meth:`BatchPairCounter.count_result`.
-        """
-        require(result_format in ("dense", "sparse"),
-                f"result_format must be 'dense' or 'sparse', got {result_format!r}")
-        require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
-        if top_k is None and result_format == "dense":
-            return DenseCountResult(self.count_all_pairs())
-        if top_k is not None:
-            require_positive(top_k, "top_k")
-        order = self.collection.order
-        n = len(self.collection)
-        bounds = (self.slot_bounds() if bounds is None
-                  else np.asarray(bounds, dtype=np.int64))
-        edge = self._tile_edge(n)
-        # The heap floor is unknown before any tile returns, so parallel
-        # submission prunes against the static min_support bound only; the
-        # running floor still filters entries at reduce time below.
-        floor = max(1, min_support) if top_k is not None else min_support
-        tasks = []
-        skipped = 0
-        tiles_total = 0
-        for t in TileScheduler(n, edge):
-            tiles_total += 1
-            if floor > 0:
-                bound = min(int(bounds[t.row_start:t.row_end].max()),
-                            int(bounds[t.col_start:t.col_end].max()))
-                if bound < floor:
-                    skipped += 1
-                    continue
-            tasks.append((t.p, t.q, t.row_start, t.row_end, t.col_start, t.col_end))
-        stats = {"tiles_total": tiles_total, "tiles_skipped": skipped}
-        merged = self._map_merge(_all_pairs_tile, tasks) if tasks else {}
-
-        def tile_axes(p, q, block):
-            rows = np.arange(p * edge, p * edge + block.shape[0])
-            cols = np.arange(q * edge, q * edge + block.shape[1])
-            if p == q:
-                block = np.where(rows[:, None] <= cols[None, :], block, 0)
-            return rows, cols, block
-
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-            for (p, q), block in merged.items():
-                rows, cols, block = tile_axes(p, q, block)
-                fl = max(1, min_support, acc.floor)
-                r_local, c_local = np.nonzero(block >= fl)
-                if r_local.size == 0:
-                    continue
-                oi = order[rows[r_local]]
-                oj = order[cols[c_local]]
-                keep = oi != oj
-                if not keep.any():
-                    continue
-                values = block[r_local, c_local][keep]
-                acc.push(np.minimum(oi[keep], oj[keep]),
-                         np.maximum(oi[keep], oj[keep]), values)
-            return acc.result(n, min_support=min_support, stats=stats,
-                              fill_zeros=min_support <= 1)
-        sparse = SparseAccumulator(n, min_support=min_support)
-        for (p, q), block in merged.items():
-            rows, cols, block = tile_axes(p, q, block)
-            sparse.add_block(order[rows], order[cols], block)
-        sparse.tiles_total = stats["tiles_total"]
-        sparse.tiles_skipped = stats["tiles_skipped"]
-        return sparse.finalize()
-
-    def count_pairs(self, pairs) -> np.ndarray:
-        """Counts for an explicit list of ``(i, j)`` original-index pairs."""
-        pairs = np.asarray(pairs, dtype=np.int64)
-        require(pairs.ndim == 2 and pairs.shape[1] == 2,
-                f"pairs must have shape (k, 2), got {pairs.shape}")
-        total = pairs.shape[0]
-        if total == 0:
-            return np.zeros(0, dtype=np.int64)
-        rank = self.collection.rank
-        a = rank[pairs[:, 0]]
-        b = rank[pairs[:, 1]]
-        chunk = -(-total // (4 * self.workers))
-        tasks = [(start, a[start:start + chunk], b[start:start + chunk])
-                 for start in range(0, total, chunk)]
-        merged = self._map_merge(_pairwise_chunk, tasks)
-        out = np.empty(total, dtype=np.int64)
-        for start, counts in merged.items():
-            out[start:start + counts.size] = counts
-        return out
-
-    def count_pair(self, i: int, j: int) -> int:
-        """Stored-copy intersection count of original sets ``i`` and ``j``."""
-        return int(self.count_pairs(np.array([[i, j]], dtype=np.int64))[0])
-
-    def count_cross(self, rows, cols) -> np.ndarray:
-        """Rectangular count matrix between two lists of original indices."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        out = np.zeros((rows.size, cols.size), dtype=np.int64)
-        if rows.size == 0 or cols.size == 0:
-            return out
-        rank = self.collection.rank
-        row_slots = rank[rows]
-        col_slots = rank[cols]
-        edge = self._tile_edge(max(rows.size, cols.size))
-        tasks = [
-            (p, q, row_slots[p * edge:(p + 1) * edge], col_slots[q * edge:(q + 1) * edge])
-            for p in range(-(-rows.size // edge))
-            for q in range(-(-cols.size // edge))
-        ]
-        merged = self._map_merge(_cross_tile, tasks)
-        for (p, q), block in merged.items():
-            out[p * edge:p * edge + block.shape[0],
-                q * edge:q * edge + block.shape[1]] = block
-        return out
+        return sink.result(run_on_pool(self._pool, self.workers, tiles, sink))
 
 
 # --------------------------------------------------------------------------- #
@@ -536,7 +363,7 @@ def measure_executor_scaling(
     Unlike :func:`~repro.parallel.scaling.measure_split_scaling` — which
     *simulates* parallelism by splitting the instance and taking the max part
     time — every point here is a real end-to-end run: segment creation, pool
-    startup, tile fan-out, and the serial merge are all inside the measured
+    startup, tile fan-out and the sink reduction are all inside the measured
     window.  Returns :class:`~repro.parallel.scaling.ScalingPoint` objects so
     :func:`~repro.parallel.scaling.relative_speedups` applies unchanged.
 

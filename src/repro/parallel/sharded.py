@@ -1,15 +1,17 @@
-"""Shard-aware tile scheduling: stream shard-pair rectangles through the counters.
+"""Out-of-core pair counting: the tile pipeline over spilled shards.
 
-The multiprocess executor (:mod:`repro.parallel.executor`) fans tiles of one
-in-memory packed buffer out over shared memory.  This module is its
+The multiprocess executor (:mod:`repro.parallel.executor`) counts tiles of
+one in-memory packed buffer over shared memory.  This module is its
 out-of-core counterpart for a :class:`~repro.core.sharded.ShardedCollection`:
 the ``n x n`` pair space decomposes into shard-pair rectangles (upper
-triangle of shard pairs only, by symmetry), each rectangle is tiled, and
-every tile is answered by the very same width-class SWAR engine — serially
-with at most two shards attached, or across a process pool whose workers
-re-attach spilled shards by **memory mapping** (the page cache plays the
-role the shared-memory segment plays for the in-memory executor).  Counts
-are bit-identical to both in-memory engines on every workload.
+triangle of shard pairs only, by symmetry), the one walk
+(:func:`~repro.core.pipeline.triangle_tiles`) tiles every rectangle, and
+every tile is answered by the very same width-class SWAR engine — inline
+with the two shards of the current rectangle attached, or across the one
+process pool, whose workers re-attach spilled shards by **memory mapping**
+(:class:`SpillSource`; the page cache plays the role the shared-memory
+segment plays for the in-memory executor).  Counts are bit-identical to
+both in-memory engines on every workload.
 
 Backend choice routes through the workload planner
 (:func:`repro.core.plan.plan_counts`): small collections or single-core
@@ -19,37 +21,38 @@ integration point shares.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import (
-    DEFAULT_BLOCK_WORDS,
-    SPARSE_TILE_ENTRIES,
-    WidthClassIndex,
-    sparse_all_pairs,
-    sparse_cross,
-    width_slot_bounds,
+from repro.core.batch import DEFAULT_BLOCK_WORDS, width_slot_bounds
+from repro.core.pipeline import (
+    DenseSink,
+    SparseSink,
+    TopKSink,
+    auto_tile_edge,
+    run_tiles,
+    triangle_tiles,
 )
 from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
-from repro.core.results import DenseCountResult, SparseAccumulator, TopKAccumulator
-from repro.kernels.tiling import TileScheduler
-from repro.parallel.executor import DEFAULT_TILE_CAP, resolve_worker_count
-from repro.parallel.scaling import merge_part_counts
+from repro.core.results import DenseCountResult
+from repro.core.sharded import attach_shard
+from repro.parallel.executor import open_pool, resolve_worker_count, run_on_pool
 from repro.utils.validation import require, require_positive
 
 __all__ = [
     "WORKER_SHARD_CACHE",
     "block_words_for_budget",
+    "SpillSource",
     "ShardedPairCounter",
 ]
 
-#: Shards a pool worker keeps attached at once.  Memory-mapped attachments
-#: are cheap to reopen (the pages stay in the OS cache), so a small cache
-#: only avoids re-parsing the ``.npy`` headers and rebuilding the
-#: width-class metadata between consecutive tiles of one rectangle.
+#: Shards one attached :class:`SpillSource` (the parent's or a pool
+#: worker's) keeps at once, least recently used first out.  Memory-mapped
+#: attachments are cheap to reopen (the pages stay in the OS cache), so a
+#: small cache only avoids re-parsing the ``.npy`` headers and rebuilding
+#: the width-class metadata between consecutive tiles of one rectangle.
 WORKER_SHARD_CACHE = 3
 
 
@@ -68,47 +71,42 @@ def block_words_for_budget(memory_budget=None) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Worker side
+# Tile source
 # --------------------------------------------------------------------------- #
-_worker_spill_dir = None
-_worker_block_words = DEFAULT_BLOCK_WORDS
-_worker_indexes: dict = {}
+@dataclass(frozen=True)
+class SpillSource:
+    """Tile source of spilled shards, attached by memory mapping.
+
+    The same object serves the serial runner in the parent and, pickled,
+    every pool worker (:func:`~repro.parallel.executor.open_pool`) — the
+    page cache plays the role the shared-memory segment plays for an
+    in-memory collection.
+    """
+
+    directories: tuple
+    block_words: int = DEFAULT_BLOCK_WORDS
+
+    def attach(self) -> "_AttachedShards":
+        return _AttachedShards(self)
 
 
-def _init_sharded_worker(spill_dir: str, block_words: int) -> None:
-    global _worker_spill_dir, _worker_block_words, _worker_indexes
-    _worker_spill_dir = Path(spill_dir)
-    _worker_block_words = int(block_words)
-    _worker_indexes = {}
+class _AttachedShards:
+    """Shard ``p``'s index on demand, keeping the most recently used few."""
 
+    def __init__(self, source: SpillSource) -> None:
+        self.source = source
+        self._indexes: OrderedDict = OrderedDict()
 
-def _worker_index_for(shard_dir: str) -> WidthClassIndex:
-    """Attach (or reuse) one spilled shard inside a pool worker."""
-    index = _worker_indexes.get(shard_dir)
-    if index is None:
-        directory = _worker_spill_dir / shard_dir
-        index = WidthClassIndex(
-            np.load(directory / "words.npy", mmap_mode="r"),
-            np.load(directory / "offsets.npy"),
-            np.load(directory / "widths.npy"),
-            block_words=_worker_block_words,
-        )
-        if len(_worker_indexes) >= WORKER_SHARD_CACHE:
-            _worker_indexes.pop(next(iter(_worker_indexes)))
-        _worker_indexes[shard_dir] = index
-    return index
-
-
-def _sharded_tile(p, q, dir_p, dir_q, row_lo, row_hi, col_lo, col_hi) -> dict:
-    """One tile of the (shard p) x (shard q) rectangle, keyed for the merge."""
-    idx_p = _worker_index_for(dir_p)
-    rows = np.arange(row_lo, row_hi)
-    cols = np.arange(col_lo, col_hi)
-    if p == q:
-        block = idx_p.cross_slots(rows, cols)
-    else:
-        block = idx_p.cross_index(_worker_index_for(dir_q), rows, cols)
-    return {(p, q, row_lo, col_lo): block}
+    def __getitem__(self, p: int):
+        index = self._indexes.get(p)
+        if index is None:
+            index = attach_shard(self.source.directories[p], p,
+                                 block_words=self.source.block_words)
+            if len(self._indexes) >= WORKER_SHARD_CACHE:
+                self._indexes.popitem(last=False)
+            self._indexes[p] = index
+        self._indexes.move_to_end(p)
+        return index
 
 
 # --------------------------------------------------------------------------- #
@@ -117,12 +115,14 @@ def _sharded_tile(p, q, dir_p, dir_q, row_lo, row_hi, col_lo, col_hi) -> dict:
 class ShardedPairCounter:
     """All-pairs counting over a spilled :class:`ShardedCollection`.
 
-    ``compute`` mirrors the collection API: ``"batch"`` streams shard pairs
-    serially with at most two shards attached; ``"parallel"`` fans tiles to
-    a process pool (falling back to serial below the pool pay-off floor);
-    ``"auto"`` asks the workload planner.  ``memory_budget`` additionally
-    shrinks the SWAR block budget so counting temporaries respect the same
-    ceiling the shards were sized for.
+    ``compute`` mirrors the collection API: ``"batch"`` runs the tiles of
+    every shard pair inline; ``"parallel"`` counts them on a process pool
+    (falling back to inline below the pool pay-off floor); ``"auto"`` asks
+    the workload planner.  Either way the tiles come from one walk over the
+    shard-pair upper triangle (:func:`~repro.core.pipeline.triangle_tiles`)
+    and go into one sink.  ``memory_budget`` additionally shrinks the SWAR
+    block budget so counting temporaries respect the same ceiling the
+    shards were sized for.
     """
 
     def __init__(
@@ -171,89 +171,32 @@ class ShardedPairCounter:
         self.plan = plan_counts(features, requested=requested, workers=workers)
 
     # ------------------------------------------------------------------ #
-    def _tile_edge(self) -> int:
-        if self.tile_size is not None:
-            return self.tile_size
-        largest = max(shard.n_sets for shard in self.sharded.shards)
-        return max(32, min(DEFAULT_TILE_CAP, largest))
-
-    def counts(self) -> np.ndarray:
-        """Dense count matrix over the *live* sets, in live index order.
+    def _run(self, sink, bounds=None):
+        """Walk the shard-pair triangle into ``sink``, inline or on the pool.
 
         Tiles are computed in physical (storage) space — tombstones never
-        change a stored row, so per-tile work is untouched — and the final
-        matrix drops tombstoned rows/columns, matching a from-scratch build
-        over only the live sets bit for bit.
+        change a stored row — and every slot is reported by its *live*
+        index; tombstoned slots map to ``-1`` and never reach the sink, so
+        results match a from-scratch build over only the live sets.
         """
+        shards = self.sharded.shards
+        live_pos = self.sharded.live_positions
+        edge = self.tile_size or auto_tile_edge(self.sharded.n_physical_sets,
+                                                self.plan.workers)
+        tiles = triangle_tiles([live_pos[shard.global_order] for shard in shards],
+                               edge, bounds)
+        source = SpillSource(tuple(str(shard.directory) for shard in shards),
+                             self.block_words)
         if self.plan.backend == "parallel":
-            out = self._counts_parallel()
+            with open_pool(self.plan.workers, source, self._mp_context) as pool:
+                stats = run_on_pool(pool, self.plan.workers, tiles, sink)
         else:
-            out = self._counts_serial()
-        tombstones = getattr(self.sharded, "tombstones", None)
-        if tombstones is not None and tombstones.size:
-            live = self.sharded.live_ids
-            out = out[np.ix_(live, live)]
-        return out
+            stats = run_tiles(tiles, sink, source.attach())
+        return sink.result(stats)
 
-    def _counts_serial(self) -> np.ndarray:
-        n = self.sharded.n_physical_sets
-        shards = self.sharded.shards
-        out = np.zeros((n, n), dtype=np.int64)
-        for p in range(len(shards)):
-            idx_p = self.sharded.attach(p, block_words=self.block_words)
-            rows_global = shards[p].global_order
-            out[np.ix_(rows_global, rows_global)] = idx_p.all_pairs()
-            for q in range(p + 1, len(shards)):
-                idx_q = self.sharded.attach(q, block_words=self.block_words)
-                rect = idx_p.cross_index(idx_q)
-                cols_global = shards[q].global_order
-                out[np.ix_(rows_global, cols_global)] = rect
-                out[np.ix_(cols_global, rows_global)] = rect.T
-                del idx_q
-            del idx_p
-        return out
-
-    def _counts_parallel(self) -> np.ndarray:
-        n = self.sharded.n_physical_sets
-        shards = self.sharded.shards
-        edge = self._tile_edge()
-        tasks = []
-        for p in range(len(shards)):
-            dir_p = shards[p].directory.name
-            for q in range(p, len(shards)):
-                dir_q = shards[q].directory.name
-                if p == q:
-                    for t in TileScheduler(shards[p].n_sets, edge):
-                        tasks.append((p, q, dir_p, dir_q, t.row_start, t.row_end,
-                                      t.col_start, t.col_end))
-                else:
-                    for r_lo in range(0, shards[p].n_sets, edge):
-                        r_hi = min(r_lo + edge, shards[p].n_sets)
-                        for c_lo in range(0, shards[q].n_sets, edge):
-                            c_hi = min(c_lo + edge, shards[q].n_sets)
-                            tasks.append((p, q, dir_p, dir_q, r_lo, r_hi, c_lo, c_hi))
-        ctx = self._mp_context or multiprocessing.get_context()
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=ctx,
-            initializer=_init_sharded_worker,
-            initargs=(str(self.sharded.spill_dir), self.block_words),
-        ) as pool:
-            futures = [pool.submit(_sharded_tile, *task) for task in tasks]
-            try:
-                parts = [future.result() for future in futures]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        merged = merge_part_counts(parts)
-        out = np.zeros((n, n), dtype=np.int64)
-        for (p, q, row_lo, col_lo), block in merged.items():
-            rows_global = shards[p].global_order[row_lo:row_lo + block.shape[0]]
-            cols_global = shards[q].global_order[col_lo:col_lo + block.shape[1]]
-            out[np.ix_(rows_global, cols_global)] = block
-            out[np.ix_(cols_global, rows_global)] = block.T
-        return out
+    def counts(self) -> np.ndarray:
+        """Dense count matrix over the *live* sets, in live index order."""
+        return self._run(DenseSink(self.sharded.n_sets))
 
     # ------------------------------------------------------------------ #
     # CountResult-producing queries (sparse / pruned / top-k)
@@ -285,173 +228,24 @@ class ShardedPairCounter:
             per_shard.append(b)
         return per_shard
 
-    def count_result(self, *, min_support=None, top_k=None, bounds=None,
-                     tile_entries: int = SPARSE_TILE_ENTRIES):
+    def count_result(self, *, min_support=None, top_k=None, bounds=None):
         """All-pairs counts as a :class:`~repro.core.results.CountResult`.
 
         The dense format wraps :meth:`counts` unchanged (the oracle path).
         Sparse and top-k results never materialise the ``n x n`` matrix:
-        shard-pair rectangles stream through the pruned tile walkers
-        (:func:`~repro.core.batch.sparse_all_pairs` within a shard,
-        :func:`~repro.core.batch.sparse_cross` across shards) serially, or
-        — when the plan says ``parallel`` — tiles below the bound are
-        dropped *before* submission to the pool and surviving blocks reduce
-        straight into the COO/heap accumulator.  Results are expressed in
-        live indices (tombstoned sets dropped), bit-identical to filtering
+        the same shard-pair tiles stream into a
+        :class:`~repro.core.pipeline.SparseSink` or
+        :class:`~repro.core.pipeline.TopKSink`, and tiles whose bound falls
+        below the sink's threshold are skipped before any SWAR work (and,
+        on the pool, before submission).  Results are expressed in live
+        indices (tombstoned sets dropped), bit-identical to filtering
         :meth:`counts`.
         """
         ms = self.min_support if min_support is None else int(min_support)
         require(ms >= 0, f"min_support must be >= 0, got {ms}")
-        if top_k is not None:
-            require_positive(top_k, "top_k")
         if top_k is None and self.result_format == "dense":
             return DenseCountResult(self.counts())
-        live_pos = self.sharded.live_positions
         n_live = self.sharded.n_sets
-        shard_bounds = self.shard_slot_bounds(bounds)
-
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-
-            def threshold():
-                return max(ms, acc.floor)
-        else:
-            acc = SparseAccumulator(n_live, min_support=ms)
-
-            def threshold():
-                return ms
-
-        def consume_factory(row_order, col_order):
-            """Tile sink mapping slot axes -> physical -> live indices."""
-
-            def consume(rows, cols, block):
-                li = live_pos[row_order[rows]]
-                lj = live_pos[col_order[cols]]
-                keep_r = li >= 0
-                keep_c = lj >= 0
-                if not (keep_r.all() and keep_c.all()):
-                    block = block[np.ix_(keep_r, keep_c)]
-                    li, lj = li[keep_r], lj[keep_c]
-                if top_k is None:
-                    acc.add_block(li, lj, block)
-                    return
-                floor = max(1, ms, acc.floor)
-                r_l, c_l = np.nonzero(block >= floor)
-                if r_l.size == 0:
-                    return
-                oi, oj = li[r_l], lj[c_l]
-                keep = oi != oj
-                if not keep.any():
-                    return
-                acc.push(np.minimum(oi[keep], oj[keep]),
-                         np.maximum(oi[keep], oj[keep]),
-                         block[r_l, c_l][keep])
-
-            return consume
-
-        stats = {"tiles_total": 0, "tiles_skipped": 0}
-        if self.plan.backend == "parallel":
-            self._sparse_parallel(consume_factory, shard_bounds,
-                                  max(1, ms) if top_k is not None else ms, stats)
-        else:
-            self._sparse_serial(consume_factory, shard_bounds, threshold,
-                                tile_entries, stats)
-        if top_k is not None:
-            return acc.result(n_live, min_support=ms, stats=stats,
-                              fill_zeros=ms <= 1)
-        acc.tiles_total = stats["tiles_total"]
-        acc.tiles_skipped = stats["tiles_skipped"]
-        return acc.finalize()
-
-    def _sparse_serial(self, consume_factory, shard_bounds, threshold,
-                       tile_entries, stats) -> None:
-        """Stream shard-pair rectangles through the pruned tile walkers."""
-        shards = self.sharded.shards
-        for p in range(len(shards)):
-            idx_p = self.sharded.attach(p, block_words=self.block_words)
-            go_p = shards[p].global_order
-            part = sparse_all_pairs(
-                idx_p, consume=consume_factory(go_p, go_p),
-                bounds=shard_bounds[p], threshold=threshold,
-                tile_entries=tile_entries)
-            stats["tiles_total"] += part["tiles_total"]
-            stats["tiles_skipped"] += part["tiles_skipped"]
-            for q in range(p + 1, len(shards)):
-                idx_q = self.sharded.attach(q, block_words=self.block_words)
-                part = sparse_cross(
-                    idx_p, idx_q,
-                    consume=consume_factory(go_p, shards[q].global_order),
-                    row_bounds=shard_bounds[p], col_bounds=shard_bounds[q],
-                    threshold=threshold, tile_entries=tile_entries)
-                stats["tiles_total"] += part["tiles_total"]
-                stats["tiles_skipped"] += part["tiles_skipped"]
-                del idx_q
-            del idx_p
-
-    def _sparse_parallel(self, consume_factory, shard_bounds, floor,
-                         stats) -> None:
-        """Fan surviving tiles to the pool; reduce blocks into the sink.
-
-        Pruning happens parent-side against the static ``floor`` (the heap's
-        running floor is unknown before any tile returns), so a skipped tile
-        costs neither a pickle round-trip nor any worker SWAR.
-        """
-        shards = self.sharded.shards
-        edge = self._tile_edge()
-        tasks = []
-
-        def keep(p, q, r_lo, r_hi, c_lo, c_hi) -> bool:
-            stats["tiles_total"] += 1
-            if floor > 0:
-                bound = min(int(shard_bounds[p][r_lo:r_hi].max()),
-                            int(shard_bounds[q][c_lo:c_hi].max()))
-                if bound < floor:
-                    stats["tiles_skipped"] += 1
-                    return False
-            return True
-
-        for p in range(len(shards)):
-            dir_p = shards[p].directory.name
-            for q in range(p, len(shards)):
-                dir_q = shards[q].directory.name
-                if p == q:
-                    for t in TileScheduler(shards[p].n_sets, edge):
-                        if keep(p, q, t.row_start, t.row_end,
-                                t.col_start, t.col_end):
-                            tasks.append((p, q, dir_p, dir_q, t.row_start,
-                                          t.row_end, t.col_start, t.col_end))
-                else:
-                    for r_lo in range(0, shards[p].n_sets, edge):
-                        r_hi = min(r_lo + edge, shards[p].n_sets)
-                        for c_lo in range(0, shards[q].n_sets, edge):
-                            c_hi = min(c_lo + edge, shards[q].n_sets)
-                            if keep(p, q, r_lo, r_hi, c_lo, c_hi):
-                                tasks.append((p, q, dir_p, dir_q,
-                                              r_lo, r_hi, c_lo, c_hi))
-        if not tasks:
-            return
-        ctx = self._mp_context or multiprocessing.get_context()
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=ctx,
-            initializer=_init_sharded_worker,
-            initargs=(str(self.sharded.spill_dir), self.block_words),
-        ) as pool:
-            futures = [pool.submit(_sharded_tile, *task) for task in tasks]
-            try:
-                parts = [future.result() for future in futures]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        for part in parts:
-            for (p, q, row_lo, col_lo), block in part.items():
-                rows = np.arange(row_lo, row_lo + block.shape[0])
-                cols = np.arange(col_lo, col_lo + block.shape[1])
-                if p == q and row_lo == col_lo:
-                    # diagonal tile of a within-shard rectangle: keep the
-                    # slot-space upper triangle so each unordered pair
-                    # reaches the sink exactly once
-                    block = np.where(rows[:, None] <= cols[None, :], block, 0)
-                consume_factory(shards[p].global_order,
-                                shards[q].global_order)(rows, cols, block)
+        sink = (TopKSink(top_k, n_live, min_support=ms) if top_k is not None
+                else SparseSink(n_live, min_support=ms))
+        return self._run(sink, self.shard_slot_bounds(bounds))

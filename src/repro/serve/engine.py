@@ -8,9 +8,9 @@ answers each query family with the narrowest existing vectorised primitive:
 * **membership** — one permuted-value gather per hash function shared across
   *all* elements of *all* coalesced probes (the probe arithmetic of
   :meth:`repro.core.batmap.Batmap.contains`, vectorised and amortised);
-* **pair counts** — :meth:`~repro.core.batch.WidthClassIndex.pairwise_slots`
-  within a shard, :meth:`~repro.core.batch.WidthClassIndex.pairwise_index`
-  across shards, grouped so one SWAR fold serves many coalesced pairs;
+* **pair counts** — :meth:`~repro.core.batch.WidthClassIndex.pairwise_index`
+  per (shard, shard) combination, grouped so one SWAR fold serves many
+  coalesced pairs;
 * **top-k** — one :meth:`~repro.core.batch.WidthClassIndex.cross_index`
   rectangle per (query shard, target shard) pair, shared by every coalesced
   top-k request;
@@ -237,7 +237,7 @@ class SpillQueryEngine:
 
         Pairs are grouped by the (shard, shard) combination of their
         endpoints; each group runs as one aligned SWAR fold
-        (``pairwise_slots`` within a shard, ``pairwise_index`` across two).
+        (``pairwise_index``, within one shard or across two).
         Bit-identical to ``BatmapCollection.count_pairs`` on the same sets.
         """
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -261,11 +261,8 @@ class SpillQueryEngine:
             mask = (shard_left == p) & (shard_right == q)
             a_slots = self._slot_of(p, left[mask])
             b_slots = self._slot_of(q, right[mask])
-            if p == q:
-                out[mask] = self._indexes[p].pairwise_slots(a_slots, b_slots)
-            else:
-                out[mask] = self._indexes[p].pairwise_index(
-                    self._indexes[q], a_slots, b_slots)
+            out[mask] = self._indexes[p].pairwise_index(
+                self._indexes[q], a_slots, b_slots)
         return out
 
     def count_rows(self, set_ids) -> np.ndarray:

@@ -131,7 +131,11 @@ class TestParallelEngine:
 
 class TestShardedEngine:
     @pytest.mark.parametrize("workers_compute", [("host", None), ("parallel", 2)])
-    def test_sparse_matches_dense_counts(self, tmp_path, rng, workers_compute):
+    def test_sparse_matches_dense_counts(self, tmp_path, rng, monkeypatch,
+                                         workers_compute):
+        # 80 sets sit below the pool pay-off floor: lower it so the parallel
+        # case really runs the sharded pool path.
+        monkeypatch.setattr("repro.parallel.executor.PARALLEL_MIN_SETS", 4)
         compute, workers = workers_compute
         sets = random_sets(rng, 80, UNIVERSE, max_size=150)
         sharded = ShardedCollection.build(
@@ -143,6 +147,8 @@ class TestShardedEngine:
         counter = ShardedPairCounter(
             sharded, compute=compute, workers=workers,
             result_format="sparse", min_support=3)
+        assert counter.plan.backend == ("parallel" if compute == "parallel"
+                                        else "batch")
         result = counter.count_result()
         assert_matches_dense(result, dense, 3)
 
@@ -161,6 +167,132 @@ class TestShardedEngine:
         assert_matches_dense(counter.count_result(), dense, 2)
         topk = counter.count_result(top_k=9, min_support=None)
         assert topk.ranked() == dense_top_k(dense, 9)
+
+    def test_pool_top_k_and_tombstones(self, tmp_path, rng, monkeypatch):
+        """The sharded pool path on a tombstoned artifact, sparse and top-k."""
+        monkeypatch.setattr("repro.parallel.executor.PARALLEL_MIN_SETS", 4)
+        sets = random_sets(rng, 60, UNIVERSE, max_size=100)
+        sharded = ShardedCollection.build(
+            sets, UNIVERSE, tmp_path / "spill", rng=9,
+            memory_budget=512 << 10, max_sets_per_shard=25)
+        sharded.delete([0, 7, 33, 59])
+        reloaded = ShardedCollection.from_spill(tmp_path / "spill")
+        assert reloaded.n_shards == 3
+        from repro.parallel.sharded import ShardedPairCounter
+
+        dense = ShardedPairCounter(reloaded, compute="host").counts()
+        counter = ShardedPairCounter(
+            reloaded, compute="parallel", workers=2, result_format="sparse",
+            min_support=2)
+        assert counter.plan.backend == "parallel"
+        assert np.array_equal(counter.counts(), dense)
+        assert_matches_dense(counter.count_result(), dense, 2)
+        for k in (1, 9, 10_000):
+            topk = counter.count_result(top_k=k, min_support=0)
+            assert topk.ranked() == dense_top_k(dense, k)
+
+
+def skewed_many(n: int, seed: int):
+    """Mostly tiny sets plus a few large ones: low-slot tiles prune at 10."""
+    rng = np.random.default_rng(seed)
+    return [np.unique(rng.integers(0, UNIVERSE,
+                                   size=120 if i % 16 == 0 else rng.integers(1, 8)))
+            for i in range(n)]
+
+
+class TestSerialPoolIdentity:
+    """The inline runner and the pool walk the same tiles with the same sink.
+
+    With >= 512 sets both pick a 128 edge, so pruning telemetry and results
+    must agree exactly, in memory and across a multi-shard spill.
+    """
+
+    N_SETS = 520
+    MIN_SUPPORT = 10
+
+    @staticmethod
+    def assert_same(serial, pool):
+        assert serial.stats["tiles_skipped"] > 0
+        for key in ("tiles_total", "tiles_skipped"):
+            assert serial.stats[key] == pool.stats[key]
+        for field in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(serial, field), getattr(pool, field))
+
+    def test_in_memory(self):
+        from repro.parallel.executor import ParallelPairCounter
+
+        coll = BatmapCollection.build(skewed_many(self.N_SETS, 1), UNIVERSE, rng=4)
+        serial = coll.batch_counter().count_result(
+            result_format="sparse", min_support=self.MIN_SUPPORT)
+        with ParallelPairCounter(coll, workers=2) as counter:
+            pool = counter.count_result(result_format="sparse",
+                                        min_support=self.MIN_SUPPORT)
+        self.assert_same(serial, pool)
+        assert_matches_dense(serial, coll.count_all_pairs(), self.MIN_SUPPORT)
+
+    def test_multi_shard_spill(self, tmp_path):
+        from repro.core.sharded import fixed_resident_bytes
+        from repro.parallel.sharded import ShardedPairCounter
+
+        sets = skewed_many(self.N_SETS, 2)
+        sharded = ShardedCollection.build(
+            sets, UNIVERSE, tmp_path / "spill", rng=4,
+            memory_budget=fixed_resident_bytes(UNIVERSE, self.N_SETS) + (4 << 20),
+            max_sets_per_shard=200)
+        assert sharded.n_shards == 3
+        sizes = np.array([s.size for s in sets])   # exact bounds, as the miner's
+        results = []
+        for compute in ("batch", "parallel"):
+            counter = ShardedPairCounter(
+                sharded, compute=compute, workers=2, result_format="sparse",
+                min_support=self.MIN_SUPPORT)
+            assert counter.plan.backend == compute
+            results.append(counter.count_result(bounds=sizes))
+        self.assert_same(*results)
+        dense = BatmapCollection.build(sets, UNIVERSE, rng=4).count_all_pairs()
+        assert_matches_dense(results[0], dense, self.MIN_SUPPORT)
+
+
+class TestResidentBound:
+    def test_pool_sparse_peak_stays_near_the_result(self):
+        """Pool sparse counting holds the result plus in-flight tiles, no more.
+
+        Finished tiles stream into the sink, so the parent's traced peak is
+        at most the serial peak plus the in-flight tiles, and at most the
+        sink's finalisation (pending chunks, their concatenation, the sort
+        order and the sorted copy: under 4 result sizes) plus those tiles.
+        Buffering every tile before reducing — 8 bytes per pair, ~9 MB
+        here — breaks both bounds.
+        """
+        import tracemalloc
+
+        from repro.parallel.executor import ParallelPairCounter, auto_tile_edge
+
+        rng = np.random.default_rng(0)
+        sets = [np.unique(rng.integers(0, 20_000, size=int(rng.integers(1, 60))))
+                for _ in range(1500)]
+        coll = BatmapCollection.build(sets, 20_000, rng=1)
+        coll.device_buffer()
+
+        def traced_peak(count):
+            tracemalloc.start()
+            try:
+                result = count(result_format="sparse")
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        serial, serial_peak = traced_peak(coll.batch_counter().count_result)
+        workers = 2
+        with ParallelPairCounter(coll, workers=workers) as counter:
+            counter.start()
+            pool, pool_peak = traced_peak(counter.count_result)
+        assert np.array_equal(pool.values, serial.values)
+        edge = auto_tile_edge(len(coll), workers)
+        # two tiles in flight per worker, each held once pickled, once unpickled
+        in_flight = 2 * workers * 2 * edge * edge * 8
+        assert pool_peak <= serial_peak + in_flight
+        assert pool_peak <= 4 * serial.result_bytes + in_flight
 
 
 class TestPayloadWidths:

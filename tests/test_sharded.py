@@ -19,6 +19,7 @@ from repro.core.sharded import (
     working_budget,
 )
 from repro.core.hashing import HashFamily
+from repro.core.intersection import count_common
 from repro.parallel.sharded import ShardedPairCounter, block_words_for_budget
 from repro.utils.memory import parse_memory_size
 from tests.conftest import random_sets
@@ -138,20 +139,30 @@ class TestSpillIdentity:
                                           max_sets_per_shard=3)
         assert sharded.failed_insertions() == reference.failed_insertions()
 
-    def test_cross_index_matches_cross_slots(self):
+    def test_cross_index_matches_per_pair_oracle(self):
         sets = make_sets(14, seed=21)
         collection = BatmapCollection.build(sets, UNIVERSE, rng=4)
         index = BatchPairCounter(collection).index
+        batmaps = collection.batmaps_sorted
+
+        def oracle(rows, cols):
+            return np.array([[count_common(batmaps[r], batmaps[c]) for c in cols]
+                             for r in rows])
+
         rows = np.array([0, 3, 9])
         cols = np.array([1, 2, 13, 5])
-        np.testing.assert_array_equal(
-            index.cross_index(index, rows, cols),
-            index.cross_slots(rows, cols),
-        )
-        # full rectangle default
+        np.testing.assert_array_equal(index.cross_index(index, rows, cols),
+                                      oracle(rows, cols))
+        # the same slot array on both axes takes the symmetric path
+        both = np.array([13, 0, 9, 3, 5, 0])
+        assert np.unique(index.widths[both]).size > 1
+        np.testing.assert_array_equal(index.cross_index(index, both, both),
+                                      oracle(both, both))
+        # full rectangle default: the slot-order all-pairs matrix
+        order = collection.order
         np.testing.assert_array_equal(
             index.cross_index(index),
-            index.cross_slots(np.arange(index.n_slots), np.arange(index.n_slots)),
+            collection._count_all_pairs_loop()[np.ix_(order, order)],
         )
 
 
