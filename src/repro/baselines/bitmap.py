@@ -36,6 +36,19 @@ class BitmapIndex:
         self.words = np.zeros((n_sets, self.words_per_set), dtype=np.uint32)
 
     @classmethod
+    def from_words(cls, words: np.ndarray) -> "BitmapIndex":
+        """View packed ``(n_sets, words_per_set)`` ``uint32`` bitmaps (no copy).
+
+        The universe is taken as every bit of a row; used to count over a
+        buffer that already holds the layout, such as a simulated device's.
+        """
+        index = cls.__new__(cls)
+        index.n_sets, index.words_per_set = words.shape
+        index.universe_size = index.words_per_set * cls.WORD_BITS
+        index.words = words
+        return index
+
+    @classmethod
     def from_sets(cls, sets, universe_size: int) -> "BitmapIndex":
         index = cls(universe_size, len(sets))
         for i, s in enumerate(sets):
@@ -67,15 +80,24 @@ class BitmapIndex:
         """Support of the pair ``{i, j}``: popcount of the bitwise AND."""
         return int(popcount_array(self.words[i] & self.words[j]).sum())
 
-    def pairwise_counts(self) -> np.ndarray:
-        """Dense matrix of all pairwise intersection sizes (AND + popcount)."""
-        n = self.n_sets
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            ands = self.words[i][None, :] & self.words[i:]
-            counts = popcount_array(ands).sum(axis=1)
-            out[i, i:] = counts
-            out[i:, i] = counts
+    def pairwise_counts(self, rows=None, cols=None) -> np.ndarray:
+        """Matrix of pairwise intersection sizes (AND + popcount).
+
+        ``rows`` / ``cols`` select a rectangle of the full matrix (default:
+        every set on both axes), e.g. one tile of a tiled schedule.  The
+        same index array on both axes computes each unordered pair once.
+        """
+        rows = np.arange(self.n_sets) if rows is None else np.asarray(rows)
+        symmetric = cols is None or cols is rows
+        cols = rows if symmetric else np.asarray(cols)
+        a, b = self.words[rows], self.words[cols]
+        out = np.zeros((rows.size, cols.size), dtype=np.int64)
+        for i in range(rows.size):
+            start = i if symmetric else 0
+            counts = popcount_array(a[i][None, :] & b[start:]).sum(axis=1)
+            out[i, start:] = counts
+            if symmetric:
+                out[start:, i] = counts
         return out
 
     @property

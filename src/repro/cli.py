@@ -144,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--max-transactions", type=int, default=None)
     mine.add_argument("--seed", type=int, default=0)
     mine.add_argument("--compute", choices=["device", "host", "parallel", "auto"],
-                      default="device",
-                      help="batmap counting backend: simulated device kernel, "
-                           "serial host batch engine, multiprocess executor "
-                           "(small inputs fall back to the batch engine), or "
-                           "auto (the workload planner picks)")
+                      default="auto",
+                      help="batmap counting backend: auto (default: the "
+                           "workload planner picks), the simulated device "
+                           "kernel (modelled device time, for the paper's "
+                           "figures), the serial host batch engine, or the "
+                           "multiprocess executor (small inputs fall back to "
+                           "the batch engine)")
     mine.add_argument("--workers", type=int, default=None,
                       help="worker processes for --compute parallel "
                            "(default: auto from the core count)")
@@ -417,7 +419,8 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         report = miner.mine(db, min_support=args.min_support, rng=args.seed)
         pairs = report.supports.frequent_pairs(args.min_support)
         _maybe_print_result_format(report, out)
-        timing = "modelled" if report.count_backend == "kernel" else "wall clock"
+        timing = ("wall clock" if report.count_backend != "kernel" else
+                  f"modelled; simulated in {report.simulation_seconds:.3f}s wall clock")
         print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
               f"count {report.counting_seconds:.5f}s ({timing}), "
               f"postprocess {report.postprocess_seconds:.3f}s, "

@@ -6,9 +6,10 @@ DESIGN.md: device specifications (:mod:`repro.gpu.device`), global/shared
 memory models with coalescing analysis (:mod:`repro.gpu.memory`,
 :mod:`repro.gpu.coalescing`), a kernel/work-group execution model
 (:mod:`repro.gpu.kernel`, :mod:`repro.gpu.executor`) and an analytic timing
-model (:mod:`repro.gpu.timing`).  Kernels run vectorised over work groups, so
-results are exact while byte counts, transaction counts and modelled device
-times quantify the regularity properties the paper's argument rests on.
+model (:mod:`repro.gpu.timing`).  A kernel executes a whole launch at once
+(or, by default, one vectorised work group at a time), so results are exact
+while byte counts, transaction counts and modelled device times quantify the
+regularity properties the paper's argument rests on.
 """
 
 from repro.gpu.coalescing import (

@@ -19,7 +19,7 @@ paper cites as [19]):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class CoalescingReport:
     bytes_requested: int
     half_warps: int
     segment_bytes: int = 64
+    #: transactions of each call of a 2-D ``(calls, call_len)`` stream
+    call_transactions: np.ndarray | None = field(default=None, compare=False,
+                                                 repr=False)
 
     @property
     def efficiency(self) -> float:
@@ -91,37 +94,48 @@ def analyze_access(
     """Group an address stream into half warps and total the transactions.
 
     ``byte_addresses`` is ordered by work-item id (the way a kernel issues
-    them); it is chunked into groups of ``half_warp`` addresses.
+    them); it is chunked into groups of ``half_warp`` addresses.  A 2-D
+    ``(calls, call_len)`` array holds ``calls`` separate accesses of
+    ``call_len`` addresses each — one work group's read of one slice, say —
+    and every row is chunked on its own, so a half warp never spans two
+    calls; the report's ``call_transactions`` holds each row's count.  Any
+    other shape is one stream, raveled.
     """
     require(half_warp >= 1, f"half_warp must be >= 1, got {half_warp}")
-    addresses = np.asarray(byte_addresses, dtype=np.int64).ravel()
+    addresses = np.asarray(byte_addresses, dtype=np.int64)
+    if addresses.ndim != 2:
+        addresses = addresses.reshape(1, -1)
+    calls, call_len = addresses.shape
     segment = segment_size_for_access(access_bytes)
     if addresses.size and addresses.min() < 0:
         raise ValueError("negative byte address")
-    total = 0
+    per_call = np.zeros(calls, dtype=np.int64)
     ideal = 0
+    n_chunks = -(-call_len // half_warp)
     if addresses.size:
-        # Vectorised per-half-warp distinct-segment count: pad the address
-        # stream to a whole number of half warps (repeating the last address,
-        # which never adds a new segment), sort each chunk's touched segments
-        # and count the distinct ones.
-        n_chunks = -(-addresses.size // half_warp)
-        padded = np.full(n_chunks * half_warp, addresses[-1], dtype=np.int64)
-        padded[:addresses.size] = addresses
-        chunks = padded.reshape(n_chunks, half_warp)
+        # Vectorised per-half-warp distinct-segment count: pad every call to
+        # a whole number of half warps (repeating its last address, which
+        # never adds a new segment), sort each chunk's touched segments and
+        # count the distinct ones.
+        pad = n_chunks * half_warp - call_len
+        if pad:
+            addresses = np.concatenate(
+                [addresses, np.repeat(addresses[:, -1:], pad, axis=1)], axis=1)
+        chunks = addresses.reshape(calls * n_chunks, half_warp)
         first = chunks // segment
         last = (chunks + access_bytes - 1) // segment
         touched = np.sort(np.concatenate([first, last], axis=1), axis=1)
         distinct = 1 + np.count_nonzero(np.diff(touched, axis=1), axis=1)
-        total = int(distinct.sum())
+        per_call = distinct.reshape(calls, n_chunks).sum(axis=1)
         # the minimum possible: contiguous packing of each chunk's bytes
         sizes = np.full(n_chunks, half_warp, dtype=np.int64)
-        sizes[-1] = addresses.size - (n_chunks - 1) * half_warp
-        ideal = int(np.maximum(1, -(-(sizes * access_bytes) // segment)).sum())
+        sizes[-1] = call_len - (n_chunks - 1) * half_warp
+        ideal = calls * int(np.maximum(1, -(-(sizes * access_bytes) // segment)).sum())
     return CoalescingReport(
-        transactions=total,
+        transactions=int(per_call.sum()),
         ideal_transactions=ideal,
-        bytes_requested=int(addresses.size) * access_bytes,
-        half_warps=-(-addresses.size // half_warp) if addresses.size else 0,
+        bytes_requested=calls * call_len * access_bytes,
+        half_warps=calls * n_chunks if addresses.size else 0,
         segment_bytes=segment,
+        call_transactions=per_call,
     )

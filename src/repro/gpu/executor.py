@@ -8,8 +8,13 @@ Usage mirrors a minimal OpenCL host program::
     counts = sim.download("results")
     print(record.timing.device_seconds, record.stats.coalescing_efficiency)
 
-The simulator executes work groups sequentially (the results are therefore
-deterministic) while the timing model accounts for the device's parallelism.
+A launch validates its geometry, hands the whole launch to
+:meth:`~repro.gpu.kernel.Kernel.run_launch` (the paper's kernels account
+every work group of a tile in a few vectorised passes; generic kernels fall
+back to one ``run_group`` call per work group), then reads the launch's
+global traffic off the memory model and prices it with the timing model.
+Execution is deterministic; the timing model, not the host, accounts for
+the device's parallelism.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gpu.device import DeviceSpec, GTX_285
-from repro.gpu.kernel import Kernel, WorkGroupContext
-from repro.gpu.memory import GlobalMemory, SharedMemory
+from repro.gpu.kernel import Kernel
+from repro.gpu.memory import GlobalMemory
 from repro.gpu.timing import (
     KernelStats,
     LaunchTiming,
@@ -103,27 +108,9 @@ class GpuSimulator:
         groups_y = global_size[1] // ly
 
         traffic_before = _snapshot_traffic(self.memory)
-        stats = KernelStats()
-        shared_peak = 0
-
-        for gx in range(groups_x):
-            for gy in range(groups_y):
-                shared = SharedMemory(self.device)
-                ctx = WorkGroupContext(
-                    device=self.device,
-                    global_memory=self.memory,
-                    shared=shared,
-                    group_id=(gx, gy),
-                    num_groups=(groups_x, groups_y),
-                    local_size=kernel.local_size,
-                )
-                kernel.run_group(ctx)
-                stats.scalar_ops += ctx.scalar_ops
-                stats.barriers += ctx.barriers
-                stats.shared_bytes += shared.bytes_traffic
-                shared_peak = max(shared_peak, shared.peak_bytes)
-                stats.work_groups += 1
-                stats.work_items += ctx.work_items
+        stats = kernel.run_launch(self.device, self.memory, tuple(global_size))
+        stats.work_groups = groups_x * groups_y
+        stats.work_items = stats.work_groups * lx * ly
 
         traffic_after = _snapshot_traffic(self.memory)
         stats.global_bytes_read = traffic_after[0] - traffic_before[0]

@@ -1,17 +1,24 @@
-"""Kernel abstraction and per-work-group execution context.
+"""Kernel abstraction: one launch-level entry point, plus a per-work-group fallback.
 
-A :class:`Kernel` is the simulator's equivalent of an OpenCL kernel.  Rather
-than executing one Python function per work item (hopelessly slow), a kernel
-implements :meth:`Kernel.run_group`, which processes one *work group* at a
-time with vectorised NumPy operations while reporting, through the
-:class:`WorkGroupContext`, exactly the memory traffic and instruction counts
-the per-item version would have generated.  The timing model then turns those
-counts into modelled device time.
+A :class:`Kernel` is the simulator's equivalent of an OpenCL kernel.  The
+simulator calls exactly one method per launch, :meth:`Kernel.run_launch`,
+which must leave the kernel's outputs in global memory, record its global
+traffic through the memory model, and return the launch's scalar-operation,
+barrier and shared-memory counters — exactly what the per-item OpenCL
+kernel would have generated.  The timing model then turns those counts into
+modelled device time.
+
+Kernels whose traffic has structure implement :meth:`~Kernel.run_launch`
+directly and account a whole launch in a few vectorised passes (the paper's
+pair-count kernel and the bitmap baseline in :mod:`repro.kernels` do).  The
+default implementation keeps the simple model for everything else: it runs
+:meth:`Kernel.run_group` once per work group, vectorised over the group's
+work items, with a :class:`WorkGroupContext` that records reads, writes,
+shared-memory stores, barriers and operations as they happen.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,7 @@ import numpy as np
 from repro.core.errors import KernelLaunchError
 from repro.gpu.device import DeviceSpec
 from repro.gpu.memory import GlobalMemory, SharedMemory
+from repro.gpu.timing import KernelStats
 
 __all__ = ["Kernel", "WorkGroupContext"]
 
@@ -78,7 +86,7 @@ class WorkGroupContext:
         self.scalar_ops += int(count)
 
 
-class Kernel(abc.ABC):
+class Kernel:
     """Base class for simulated device kernels."""
 
     #: human-readable kernel name (shows up in launch reports)
@@ -107,6 +115,36 @@ class Kernel(abc.ABC):
                 f"{self.local_size!r}"
             )
 
-    @abc.abstractmethod
+    def run_launch(self, device: DeviceSpec, memory: GlobalMemory,
+                   global_size: tuple[int, int]) -> KernelStats:
+        """Execute a whole (validated) launch; return its non-traffic counters.
+
+        Global traffic goes to ``memory.traffic``; the returned stats carry
+        ``scalar_ops``, ``barriers`` and ``shared_bytes`` (the simulator adds
+        the launch geometry and the traffic).  This default runs
+        :meth:`run_group` once per work group, in row-major group order,
+        each with fresh shared memory.
+        """
+        lx, ly = self.local_size
+        num_groups = (global_size[0] // lx, global_size[1] // ly)
+        stats = KernelStats()
+        for gx in range(num_groups[0]):
+            for gy in range(num_groups[1]):
+                ctx = WorkGroupContext(
+                    device=device,
+                    global_memory=memory,
+                    shared=SharedMemory(device),
+                    group_id=(gx, gy),
+                    num_groups=num_groups,
+                    local_size=self.local_size,
+                )
+                self.run_group(ctx)
+                stats.scalar_ops += ctx.scalar_ops
+                stats.barriers += ctx.barriers
+                stats.shared_bytes += ctx.shared.bytes_traffic
+        return stats
+
     def run_group(self, ctx: WorkGroupContext) -> None:
         """Execute one work group (vectorised over its work items)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither run_launch nor run_group")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import CapacityError, DeviceError, SharedMemoryError
-from repro.gpu.coalescing import analyze_access
+from repro.gpu.coalescing import CoalescingReport, analyze_access
 from repro.gpu.device import DeviceSpec
 
 __all__ = ["GlobalMemory", "SharedMemory", "MemoryTraffic"]
@@ -43,6 +43,24 @@ class MemoryTraffic:
         if actual == 0:
             return 1.0
         return (self.ideal_read_transactions + self.ideal_write_transactions) / actual
+
+    def record(self, direction: str, report: CoalescingReport) -> None:
+        """Add one coalescing report to the read or the write counters.
+
+        The one accounting path: :meth:`GlobalMemory.read` /
+        :meth:`GlobalMemory.write` and the launch-level kernels all go
+        through it.
+        """
+        if direction == "read":
+            self.bytes_read += report.bytes_requested
+            self.read_transactions += report.transactions
+            self.ideal_read_transactions += report.ideal_transactions
+        elif direction == "write":
+            self.bytes_written += report.bytes_requested
+            self.write_transactions += report.transactions
+            self.ideal_write_transactions += report.ideal_transactions
+        else:
+            raise ValueError(f"direction must be 'read' or 'write', got {direction!r}")
 
     def merge(self, other: "MemoryTraffic") -> None:
         self.bytes_read += other.bytes_read
@@ -130,9 +148,7 @@ class GlobalMemory:
         item = int(buf.dtype.itemsize)
         report = analyze_access(indices.ravel() * item, item,
                                 half_warp=half_warp or self.device.half_warp)
-        self.traffic.bytes_read += report.bytes_requested
-        self.traffic.read_transactions += report.transactions
-        self.traffic.ideal_read_transactions += report.ideal_transactions
+        self.traffic.record("read", report)
         return buf[indices]
 
     def write(self, name: str, indices: np.ndarray, values: np.ndarray,
@@ -143,9 +159,7 @@ class GlobalMemory:
         item = int(buf.dtype.itemsize)
         report = analyze_access(indices.ravel() * item, item,
                                 half_warp=half_warp or self.device.half_warp)
-        self.traffic.bytes_written += report.bytes_requested
-        self.traffic.write_transactions += report.transactions
-        self.traffic.ideal_write_transactions += report.ideal_transactions
+        self.traffic.record("write", report)
         buf[indices] = values
 
 

@@ -4,6 +4,9 @@
   comparison kernel (16x16 work groups, shared-memory staging, SWAR counting).
 * :class:`~repro.kernels.bitmap_kernel.BitmapAndPopcountKernel` — the
   uncompressed-bitmap baseline (PBI layout) on the same execution model.
+* :class:`~repro.kernels.sliced.SlicedPairKernel` — the launch-level
+  execution both share: counts for exactly the launched tile, traffic
+  accounted per row and column block.
 * :class:`~repro.kernels.tiling.TileScheduler` — k x k tiling with
   upper-triangle symmetry pruning.
 * :mod:`~repro.kernels.driver` — host-side drivers assembling full pair-count

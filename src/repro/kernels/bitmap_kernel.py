@@ -6,14 +6,21 @@ Running that layout through the same simulator as the batmap kernel isolates
 the effect of the *data layout* (dense bitmaps vs batmaps) from everything
 else: same device model, same tiling, same coalescing rules.  This drives
 experiment E9 (dense vs sparse comparison of Section I-B2a).
+
+A launch runs at once, like the batmap kernel's
+(:mod:`repro.kernels.sliced`): the tile's counts come from
+:meth:`~repro.baselines.bitmap.BitmapIndex.pairwise_counts` over the device
+buffer, and the per-slice reads — every lane reads word
+``min(position, words_per_set - 1)`` of its bitmap, masked past the end — are
+accounted per row and column block.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.kernel import Kernel, WorkGroupContext
-from repro.utils.bits import popcount_array
+from repro.baselines.bitmap import BitmapIndex
+from repro.kernels.sliced import SlicedPairKernel
 
 __all__ = ["BitmapAndPopcountKernel"]
 
@@ -21,7 +28,7 @@ __all__ = ["BitmapAndPopcountKernel"]
 OPS_PER_WORD = 6
 
 
-class BitmapAndPopcountKernel(Kernel):
+class BitmapAndPopcountKernel(SlicedPairKernel):
     """Count ``popcount(row_i AND row_j)`` for all pairs in a tile of bitmaps.
 
     The bitmaps all have the same width ``words_per_set`` (that is the point
@@ -30,6 +37,7 @@ class BitmapAndPopcountKernel(Kernel):
     """
 
     name = "bitmap_and_popcount"
+    ops_per_word = OPS_PER_WORD
 
     def __init__(
         self,
@@ -46,57 +54,19 @@ class BitmapAndPopcountKernel(Kernel):
         if words_per_set <= 0:
             raise ValueError("words_per_set must be positive")
         self.words_per_set = int(words_per_set)
-        self.n_sets = int(n_sets)
-        self.row_base = int(row_base)
-        self.col_base = int(col_base)
-        self.tile_shape = tile_shape
-        self.bitmap_buffer = bitmap_buffer
-        self.result_buffer = result_buffer
-        self.local_size = tuple(local_size)
+        super().__init__(n_sets, row_base=row_base, col_base=col_base,
+                         tile_shape=tile_shape, words_buffer=bitmap_buffer,
+                         result_buffer=result_buffer, local_size=local_size)
 
-    def run_group(self, ctx: WorkGroupContext) -> None:
-        lx, ly = ctx.local_size
-        gi, gj = ctx.global_offset
-        rows = self.row_base + gi + np.arange(lx)
-        cols = self.col_base + gj + np.arange(ly)
-        valid_rows = rows < self.n_sets
-        valid_cols = cols < self.n_sets
-        if not valid_rows.any() or not valid_cols.any():
-            return
-        safe_rows = np.where(valid_rows, rows, 0)
-        safe_cols = np.where(valid_cols, cols, 0)
+    def _lane_widths(self, ids: np.ndarray) -> np.ndarray:
+        return np.full(ids.shape, self.words_per_set)
 
-        shared_a = ctx.alloc_shared("slice_a", (lx, ly), np.uint32)
-        shared_b = ctx.alloc_shared("slice_b", (lx, ly), np.uint32)
-        counts = np.zeros((lx, ly), dtype=np.int64)
-        n_slices = -(-self.words_per_set // ly)
+    def _read_indices(self, ids, valid, word_pos):
+        # inactive lanes hold id 0 and re-read bitmap 0, as the kernel does
+        clamped = np.minimum(word_pos, self.words_per_set - 1)
+        return ids[:, None, :, None] * self.words_per_set + clamped[None, :, None, :]
 
-        for s in range(n_slices):
-            word_pos = s * ly + np.arange(ly)
-            in_range = word_pos < self.words_per_set
-            clamped = np.minimum(word_pos, self.words_per_set - 1)
-            idx_a = safe_rows[:, None] * self.words_per_set + clamped[None, :]
-            idx_b = safe_cols[:, None] * self.words_per_set + clamped[None, :]
-            a = ctx.read_global(self.bitmap_buffer, idx_a)
-            b = ctx.read_global(self.bitmap_buffer, idx_b)
-            ctx.store_shared("slice_a", a.astype(np.uint32))
-            ctx.store_shared("slice_b", b.astype(np.uint32))
-            ctx.barrier()
-
-            anded = shared_a[:, None, :] & shared_b[None, :, :]
-            per_word = popcount_array(anded).astype(np.int64)
-            counts += (per_word * in_range[None, None, :]).sum(axis=2)
-            ctx.add_ops(lx * ly * ly * OPS_PER_WORD)
-            ctx.barrier()
-
-        if self.tile_shape is None:
-            raise ValueError("tile_shape must be set before launching the kernel")
-        tile_rows, tile_cols = self.tile_shape
-        local_rows = gi + np.arange(lx)
-        local_cols = gj + np.arange(ly)
-        in_tile = (local_rows[:, None] < tile_rows) & (local_cols[None, :] < tile_cols)
-        writable = in_tile & valid_rows[:, None] & valid_cols[None, :]
-        if not writable.any():
-            return
-        flat = local_rows[:, None] * tile_cols + local_cols[None, :]
-        ctx.write_global(self.result_buffer, flat[writable], counts[writable])
+    def _count(self, memory, rows, cols):
+        words = memory.buffer(self.words_buffer)
+        index = BitmapIndex.from_words(words.reshape(-1, self.words_per_set))
+        return index.pairwise_counts(rows, cols)

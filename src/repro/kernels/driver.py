@@ -88,12 +88,13 @@ def run_batmap_pair_counts(
 
     ``compute`` selects how the counts themselves are produced:
 
-    * ``"kernel"`` (default) — simulate every tiled kernel launch work-group
-      by work-group, recording the full traffic/coalescing statistics and the
-      modelled device time;
+    * ``"kernel"`` (default) — simulate every tiled kernel launch, recording
+      the full traffic/coalescing statistics and the modelled device time
+      (each launch takes its tile's counts from the host tile pipeline and
+      accounts the traffic per row and column block);
     * ``"batch"`` — take the (bit-identical) counts from the host-side
       vectorised batch engine (:mod:`repro.core.batch`) and skip the
-      per-work-group simulation.  Only the host->device transfer is modelled
+      launch simulation.  Only the host->device transfer is modelled
       (``tiles == 0``, no launch records); use this when the counts matter
       but per-launch statistics do not.
     * ``"parallel"`` — count for real across ``workers`` processes over one

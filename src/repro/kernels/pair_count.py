@@ -15,18 +15,22 @@ Work decomposition, exactly as the paper describes it:
   modulo the batmap's width, and word positions beyond the pair's larger
   width are masked out of the count (predication, not branching).
 
-The simulator executes each work group as a handful of vectorised NumPy
-operations while recording the same global-memory traffic, shared-memory
-traffic and scalar-operation counts the per-thread OpenCL kernel would
-generate.
+The simulator executes a launch at once (:mod:`repro.kernels.sliced`): the
+counts of the tile come from the host tile pipeline
+(:func:`repro.core.pipeline.count_block` over a
+:class:`~repro.core.batch.WidthClassIndex` of the device buffer), which
+folds wide batmaps onto narrow ones exactly as the kernel's modulo
+indexing does, and the global/shared traffic and operation counts are
+accounted per row and column block rather than replayed group by group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.swar import count_matches_per_word
-from repro.gpu.kernel import Kernel, WorkGroupContext
+from repro.core.batch import WidthClassIndex
+from repro.core.pipeline import Tile, count_block
+from repro.kernels.sliced import SlicedPairKernel
 
 __all__ = ["PairCountKernel"]
 
@@ -35,7 +39,7 @@ __all__ = ["PairCountKernel"]
 OPS_PER_WORD_COMPARISON = 14
 
 
-class PairCountKernel(Kernel):
+class PairCountKernel(SlicedPairKernel):
     """Count |S_a ∩ S_b| for every batmap pair (a, b) inside one tile.
 
     Parameters
@@ -43,7 +47,9 @@ class PairCountKernel(Kernel):
     offsets, widths:
         Word offset and word width of every batmap inside the packed device
         buffer (sorted order), as produced by
-        :meth:`repro.core.collection.BatmapCollection.device_buffer`.
+        :meth:`repro.core.collection.BatmapCollection.device_buffer`.  Widths
+        must nest (each divides every larger one), as the power-of-two hash
+        ranges of one collection do.
     n_batmaps:
         Total number of batmaps (pairs outside this range are ignored).
     row_base, col_base:
@@ -57,6 +63,7 @@ class PairCountKernel(Kernel):
     """
 
     name = "batmap_pair_count"
+    ops_per_word = OPS_PER_WORD_COMPARISON
 
     def __init__(
         self,
@@ -77,72 +84,21 @@ class PairCountKernel(Kernel):
             raise ValueError("offsets and widths must have the same length")
         if np.any(self.widths <= 0):
             raise ValueError("every batmap must have a positive word width")
-        self.n_batmaps = int(n_batmaps)
-        self.row_base = int(row_base)
-        self.col_base = int(col_base)
-        self.tile_shape = tile_shape
-        self.batmap_buffer = batmap_buffer
-        self.result_buffer = result_buffer
-        self.local_size = tuple(local_size)
+        super().__init__(n_batmaps, row_base=row_base, col_base=col_base,
+                         tile_shape=tile_shape, words_buffer=batmap_buffer,
+                         result_buffer=result_buffer, local_size=local_size)
 
-    # ------------------------------------------------------------------ #
-    def run_group(self, ctx: WorkGroupContext) -> None:
-        lx, ly = ctx.local_size
-        gi, gj = ctx.global_offset
-        rows = self.row_base + gi + np.arange(lx)
-        cols = self.col_base + gj + np.arange(ly)
-        valid_rows = rows < self.n_batmaps
-        valid_cols = cols < self.n_batmaps
-        if not valid_rows.any() or not valid_cols.any():
-            return
+    def _lane_widths(self, ids: np.ndarray) -> np.ndarray:
+        return self.widths[ids]
 
-        # Width/offset of each batmap handled by this group; invalid lanes get
-        # width 1 so the modulo arithmetic stays defined, and are masked later.
-        safe_rows = np.where(valid_rows, rows, 0)
-        safe_cols = np.where(valid_cols, cols, 0)
-        w_rows = np.where(valid_rows, self.widths[safe_rows], 1)
-        w_cols = np.where(valid_cols, self.widths[safe_cols], 1)
-        o_rows = np.where(valid_rows, self.offsets[safe_rows], 0)
-        o_cols = np.where(valid_cols, self.offsets[safe_cols], 0)
+    def _read_indices(self, ids, valid, word_pos):
+        # inactive lanes read word 0 (width 1, offset 0), as the kernel does
+        offsets = np.where(valid, self.offsets[ids], 0)[:, None, :, None]
+        widths = np.where(valid, self.widths[ids], 1)[:, None, :, None]
+        return offsets + word_pos[None, :, None, :] % widths
 
-        # Every pair is compared over max(w_a, w_b) word positions.
-        pair_limit = np.maximum(w_rows[:, None], w_cols[None, :])
-        group_limit = int(pair_limit[np.outer(valid_rows, valid_cols)].max())
-        n_slices = -(-group_limit // ly)
-
-        shared_a = ctx.alloc_shared("slice_a", (lx, ly), np.uint32)
-        shared_b = ctx.alloc_shared("slice_b", (lx, ly), np.uint32)
-        counts = np.zeros((lx, ly), dtype=np.int64)
-
-        for s in range(n_slices):
-            word_pos = s * ly + np.arange(ly)
-            # Each work item copies one word of a row batmap and one of a
-            # column batmap into shared memory (coalesced 16-word reads).
-            idx_a = o_rows[:, None] + (word_pos[None, :] % w_rows[:, None])
-            idx_b = o_cols[:, None] + (word_pos[None, :] % w_cols[:, None])
-            a = ctx.read_global(self.batmap_buffer, idx_a)
-            b = ctx.read_global(self.batmap_buffer, idx_b)
-            ctx.store_shared("slice_a", a.astype(np.uint32))
-            ctx.store_shared("slice_b", b.astype(np.uint32))
-            ctx.barrier()
-
-            # All 16x16 pairs compare their 16-word slices (branch free).
-            per_word = count_matches_per_word(
-                shared_a[:, None, :], shared_b[None, :, :]
-            ).astype(np.int64)
-            mask = word_pos[None, None, :] < pair_limit[:, :, None]
-            counts += (per_word * mask).sum(axis=2)
-            ctx.add_ops(lx * ly * ly * OPS_PER_WORD_COMPARISON)
-            ctx.barrier()
-
-        if self.tile_shape is None:
-            raise ValueError("tile_shape must be set before launching the kernel")
-        tile_rows, tile_cols = self.tile_shape
-        local_rows = gi + np.arange(lx)
-        local_cols = gj + np.arange(ly)
-        in_tile = (local_rows[:, None] < tile_rows) & (local_cols[None, :] < tile_cols)
-        writable = in_tile & valid_rows[:, None] & valid_cols[None, :]
-        if not writable.any():
-            return
-        flat = local_rows[:, None] * tile_cols + local_cols[None, :]
-        ctx.write_global(self.result_buffer, flat[writable], counts[writable])
+    def _count(self, memory, rows, cols):
+        index = WidthClassIndex(memory.buffer(self.words_buffer), self.offsets,
+                                self.widths)
+        return count_block([index], Tile(0, 0, rows, cols, rows, cols,
+                                         diagonal=cols is rows))

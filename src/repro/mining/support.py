@@ -147,6 +147,10 @@ class MiningReport:
     batmap_bytes: int = 0
     failed_insertions: int = 0
     tiles: int = 0
+    #: Host wall-clock seconds spent running the device simulator
+    #: (compute="device" only).  Reported next to the modelled count time;
+    #: no modelled total includes it.
+    simulation_seconds: float = 0.0
     #: Which engine produced the counts: "kernel" (simulated device),
     #: "batch" (serial host engine — also the small-input fallback of
     #: compute="parallel"), "parallel" (multiprocess executor), "host"

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestMine:
 class TestComputeFlags:
     def test_mine_compute_defaults(self, fimi_file):
         args = build_parser().parse_args(["mine", str(fimi_file)])
-        assert args.compute == "device"
+        assert args.compute == "auto"
         assert args.workers is None
 
     def test_mine_rejects_unknown_compute(self, fimi_file):
@@ -82,6 +83,15 @@ class TestComputeFlags:
         text = out.getvalue()
         assert "count backend: batch" in text
         assert "(wall clock)" in text
+
+    def test_mine_device_reports_simulation_wall_time(self, fimi_file):
+        out = io.StringIO()
+        assert main(["mine", str(fimi_file), "--compute", "device",
+                     "--min-support", "2"], out=out) == 0
+        text = out.getvalue()
+        assert "count backend: kernel" in text
+        assert re.search(r"count \S+s \(modelled; simulated in \d+\.\d{3}s wall clock\)",
+                         text)
 
     def test_mine_backends_agree(self, fimi_file):
         results = {}

@@ -164,3 +164,38 @@ class TestSharedMemory:
         shared.reset()
         assert shared.bytes_allocated == 0
         shared.alloc("a", (4,), np.uint32)  # can re-allocate after reset
+
+
+class TestCallStreams:
+    """A 2-D ``(calls, call_len)`` stream is chunked call by call."""
+
+    def test_each_call_is_chunked_on_its_own(self):
+        # 8 lanes per call: as one stream, two calls share one half warp
+        calls = (np.arange(4)[:, None] * 4096 + np.arange(8)[None, :] * 4)
+        per_call = analyze_access(calls, 4, half_warp=16)
+        assert per_call.call_transactions.tolist() == [1, 1, 1, 1]
+        assert per_call.transactions == 4
+        assert per_call.half_warps == 4
+        assert per_call.bytes_requested == 4 * 8 * 4
+        assert analyze_access(calls.ravel(), 4, half_warp=16).half_warps == 2
+
+    def test_one_row_equals_the_flat_stream(self):
+        rng = np.random.default_rng(0)
+        stream = rng.integers(0, 1 << 16, size=37) * 4
+        flat = analyze_access(stream, 4)
+        row = analyze_access(stream[None, :], 4)
+        assert flat == row
+        assert row.call_transactions.tolist() == [flat.transactions]
+
+    def test_record_is_the_accounting_of_read_and_write(self):
+        from repro.gpu.memory import MemoryTraffic
+        mem = GlobalMemory(GTX_285)
+        mem.upload("buf", np.zeros(64, dtype=np.uint32))
+        mem.read("buf", np.arange(0, 64, 3))
+        mem.write("buf", np.arange(20), np.ones(20, dtype=np.uint32))
+        expected = MemoryTraffic()
+        expected.record("read", analyze_access(np.arange(0, 64, 3) * 4, 4))
+        expected.record("write", analyze_access(np.arange(20) * 4, 4))
+        assert mem.traffic == expected
+        with pytest.raises(ValueError):
+            expected.record("sideways", analyze_access(np.arange(4), 4))

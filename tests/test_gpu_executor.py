@@ -140,3 +140,25 @@ class TestTimingModel:
 
     def test_empty_stats_efficiency_is_one(self):
         assert KernelStats().coalescing_efficiency == 1.0
+
+
+class TestLaunchEntryPoint:
+    def test_kernel_without_an_implementation_raises(self):
+        class Empty(Kernel):
+            local_size = (4, 4)
+
+        sim = GpuSimulator(GTX_285)
+        with pytest.raises(NotImplementedError):
+            sim.launch(Empty(), (4, 4))
+
+    def test_run_launch_is_the_one_entry_point(self):
+        class Counting(Kernel):
+            local_size = (2, 2)
+
+            def run_launch(self, device, memory, global_size):
+                return KernelStats(scalar_ops=7, barriers=1)
+
+        record = GpuSimulator(GTX_285).launch(Counting(), (4, 6))
+        assert record.stats.work_groups == 6
+        assert record.stats.work_items == 24
+        assert (record.stats.scalar_ops, record.stats.barriers) == (7, 1)

@@ -218,3 +218,52 @@ class TestParallelComputeMode:
         batch = run_batmap_pair_counts(coll, compute="batch")
         parallel = run_batmap_pair_counts(coll, compute="parallel", workers=2)
         assert np.array_equal(batch.counts, parallel.counts)
+
+
+def _tiny_shared_device(shared_bytes: int):
+    from repro.gpu.device import GTX_285, DeviceSpec
+    return DeviceSpec(name="tiny-shared", multiprocessors=1, cores_per_multiprocessor=8,
+                      clock_ghz=1.0, global_memory_bytes=GTX_285.global_memory_bytes,
+                      memory_bandwidth_gbps=1.0, shared_memory_per_mp_bytes=shared_bytes)
+
+
+class TestLaunchChecks:
+    """Launch-time checks of both tiled kernels raise before any counting."""
+
+    def test_batmap_kernel_rejects_non_square_work_group(self, rng):
+        from repro.core.errors import KernelLaunchError
+        coll = BatmapCollection.build(random_sets(rng, 20, 300, max_size=60), 300, rng=0)
+        with pytest.raises(KernelLaunchError, match=r"square work group, got \(16, 8\)"):
+            run_batmap_pair_counts(coll, tile_size=96, work_group=(16, 8))
+
+    def test_bitmap_kernel_rejects_non_square_work_group(self, rng):
+        from repro.core.errors import KernelLaunchError
+        index = BitmapIndex.from_sets(random_sets(rng, 20, 300, max_size=60), 300)
+        with pytest.raises(KernelLaunchError, match=r"square work group, got \(8, 16\)"):
+            run_bitmap_pair_counts(index, tile_size=96, work_group=(8, 16))
+
+    def test_shared_memory_capacity_is_checked(self, rng):
+        from repro.core.errors import SharedMemoryError
+        coll = BatmapCollection.build(random_sets(rng, 20, 300, max_size=60), 300, rng=0)
+        index = BitmapIndex.from_sets(random_sets(rng, 20, 300, max_size=60), 300)
+        device = _tiny_shared_device(1500)
+        message = r"work group shared memory overflow: 2048 B > 1500 B"
+        with pytest.raises(SharedMemoryError, match=message):
+            run_batmap_pair_counts(coll, tile_size=16, device=device)
+        with pytest.raises(SharedMemoryError, match=message):
+            run_bitmap_pair_counts(index, tile_size=16, device=device)
+
+    def test_launch_past_the_last_set_does_nothing(self):
+        from repro.gpu.device import GTX_285
+        from repro.gpu.executor import GpuSimulator
+        coll = BatmapCollection.build([[1, 2], [2, 3]], 16, rng=0)
+        buf = coll.device_buffer()
+        sim = GpuSimulator(GTX_285)
+        sim.upload("batmaps", buf.words)
+        sim.allocate("results", (4,), np.int64)
+        kernel = PairCountKernel(buf.offsets, buf.widths, 2, row_base=2,
+                                 tile_shape=(2, 2), local_size=(2, 2))
+        record = sim.launch(kernel, (2, 2))
+        assert record.stats.work_groups == 1
+        assert record.stats.global_bytes_total == record.stats.scalar_ops == 0
+        assert not sim.download("results").any()
