@@ -99,14 +99,11 @@ from repro.baselines.apriori import AprioriMiner
 from repro.baselines.eclat import EclatMiner
 from repro.baselines.fpgrowth import FPGrowthMiner
 from repro.baselines.merge import intersection_size_numpy
-from repro.core.batmap import build_batmap
 from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig
 from repro.core.hashing import HashFamily
 from repro.core.errors import DataFormatError, DatasetError
-from repro.core.intersection import count_common
 from repro.core.plan import plan_counts
-from repro.parallel.executor import recommended_backend
 from repro.datasets.fimi_io import read_fimi, write_fimi
 from repro.datasets.ibm_quest import QuestParameters, generate_quest_dataset
 from repro.datasets.synthetic import generate_density_instance
@@ -143,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--top", type=int, default=10, help="number of pairs to print")
     mine.add_argument("--max-transactions", type=int, default=None)
     mine.add_argument("--seed", type=int, default=0)
-    mine.add_argument("--compute", choices=["device", "host", "parallel", "auto"],
+    mine.add_argument("--compute", choices=["auto", "device", "batch", "parallel"],
                       default="auto",
                       help="batmap counting backend: auto (default: the "
                            "workload planner picks), the simulated device "
@@ -171,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="mine out-of-core: stream the file, build batmap "
                            "shards sized to --memory-budget, spill them to "
                            "disk and count shard pairs with bounded resident "
-                           "memory (batmap pairs only; --compute device is "
-                           "treated as auto)")
+                           "memory (batmap pairs only; not with --compute "
+                           "device)")
     mine.add_argument("--result-format",
                       choices=["auto", "dense", "sparse"], default="dense",
                       help="count result shape: 'dense' is the legacy full "
@@ -419,17 +416,15 @@ def _cmd_mine(args: argparse.Namespace, out) -> int:
         report = miner.mine(db, min_support=args.min_support, rng=args.seed)
         pairs = report.supports.frequent_pairs(args.min_support)
         _maybe_print_result_format(report, out)
-        timing = ("wall clock" if report.count_backend != "kernel" else
+        timing = ("wall clock" if report.count_backend != "device" else
                   f"modelled; simulated in {report.simulation_seconds:.3f}s wall clock")
         print(f"phases: preprocess {report.preprocess_seconds:.3f}s, "
               f"count {report.counting_seconds:.5f}s ({timing}), "
               f"postprocess {report.postprocess_seconds:.3f}s, "
               f"failed insertions {report.failed_insertions}", file=out)
-        backend = f"count backend: {report.count_backend}"
-        if args.compute == "parallel" and report.count_backend == "batch":
-            backend += " (parallel fell back: input below the pool pay-off floor)"
-        print(backend, file=out)
-        print(_build_backend_line(report.build_backend, args.build_compute),
+        print(_backend_line("count", report.count_backend, report.count_plan),
+              file=out)
+        print(_backend_line("build", report.build_backend, report.build_plan),
               file=out)
     elif args.engine == "apriori":
         pairs = AprioriMiner().mine_pairs(db.transactions, db.n_items, args.min_support)
@@ -513,8 +508,7 @@ def _budget_demotes_to_stream(args: argparse.Namespace, out) -> bool:
 def _mine_stream(args: argparse.Namespace, out) -> int:
     """Out-of-core mining (``--stream`` / planner-demoted ``--memory-budget``)."""
     budget = args.memory_budget if args.memory_budget is not None else "256M"
-    compute = "auto" if args.compute == "device" else args.compute
-    miner = BatmapPairMiner(compute=compute, workers=args.workers,
+    miner = BatmapPairMiner(compute=args.compute, workers=args.workers,
                             build_compute=args.build_compute,
                             build_workers=args.build_workers,
                             result_format=args.result_format)
@@ -536,18 +530,16 @@ def _mine_stream(args: argparse.Namespace, out) -> int:
           f"count {report.counting_seconds:.5f}s (wall clock), "
           f"postprocess {report.postprocess_seconds:.3f}s, "
           f"failed insertions {report.failed_insertions}", file=out)
-    print(f"count backend: {report.count_backend}", file=out)
-    print(f"build backend: {report.build_backend}", file=out)
+    print(_backend_line("count", report.count_backend, report.count_plan), file=out)
+    print(_backend_line("build", report.build_backend, report.build_plan), file=out)
     _report_pairs(pairs, args, out, elapsed, "batmap, sharded")
     return 0
 
 
-def _build_backend_line(build_backend: str, requested: str) -> str:
-    """The ``build backend:`` output line, with the demotion notice."""
-    line = f"build backend: {build_backend}"
-    if requested == "parallel" and build_backend == "bulk":
-        line += " (parallel fell back: input below the build pool pay-off floor)"
-    return line
+def _backend_line(kind: str, backend: str, plan) -> str:
+    """``<kind> backend: <backend> (<reason>)`` in the planner's own words."""
+    reason = f" ({plan.reason})" if plan is not None else ""
+    return f"{kind} backend: {backend}{reason}"
 
 
 def _mine_itemsets(args: argparse.Namespace, db, out) -> int:
@@ -561,8 +553,9 @@ def _mine_itemsets(args: argparse.Namespace, db, out) -> int:
     result = miner.mine(db, min_support=args.min_support, rng=args.seed)
     elapsed = time.perf_counter() - start
     if result.pair_report is not None:
-        print(_build_backend_line(result.pair_report.build_backend,
-                                  args.build_compute), file=out)
+        report = result.pair_report
+        print(_backend_line("build", report.build_backend, report.build_plan),
+              file=out)
 
     print(f"{len(result.itemsets)} frequent itemsets up to size "
           f"{result.max_size()} (support >= {args.min_support}) "
@@ -620,8 +613,8 @@ def _cmd_intersect_multiway(args: argparse.Namespace, sets, universe, out) -> in
     sizes = ", ".join(str(s.size) for s in sets)
     print(f"{len(sets)} sets of sizes [{sizes}], universe = {universe}", file=out)
     print("count backend: host (batched multiway probes)", file=out)
-    print(_build_backend_line(collection.build_plan.backend,
-                              args.build_compute), file=out)
+    print(_backend_line("build", collection.build_plan.backend,
+                        collection.build_plan), file=out)
     print(f"intersection size (batmap): {result.size}", file=out)
     print(f"intersection size (merge) : {exact.size}", file=out)
     total_bytes = sum(collection.batmap(i).memory_bytes for i in range(len(sets)))
@@ -647,36 +640,18 @@ def _cmd_intersect(args: argparse.Namespace, out) -> int:
     config = BatmapConfig()
     family = HashFamily.create(universe, shift=config.shift_for_universe(universe),
                                rng=args.seed)
-    if args.compute in ("parallel", "auto"):
-        # One build: the printed stats must describe the same batmaps that
-        # produced the count (the collection path clamps r >= 4).
-        collection = BatmapCollection.build([set_a, set_b], universe,
-                                            config=config, family=family,
-                                            sort_by_size=False,
-                                            build_compute=args.build_compute)
-        print(_build_backend_line(collection.build_plan.backend,
-                                  args.build_compute), file=out)
-        bm_a, bm_b = collection.batmap(0), collection.batmap(1)
-        if args.compute == "auto":
-            plan = plan_counts(collection, workers=args.workers, n_pairs=1)
-            print(f"count backend: {plan.backend} ({plan.reason})", file=out)
-            if plan.backend == "parallel":
-                counts = collection.count_all_pairs(parallel=True,
-                                                    workers=args.workers)
-                batmap_count = int(counts[0, 1])
-            else:
-                batmap_count = collection.count_pair(0, 1)
-        else:
-            backend = recommended_backend(collection, workers=args.workers)
-            counts = collection.count_all_pairs(parallel=True, workers=args.workers)
-            batmap_count = int(counts[0, 1])
-            note = (" (parallel fell back: input below the pool pay-off floor)"
-                    if backend == "batch" else "")
-            print(f"count backend: {backend}{note}", file=out)
-    else:
-        bm_a = build_batmap(set_a, universe, family=family, config=config)
-        bm_b = build_batmap(set_b, universe, family=family, config=config)
-        batmap_count = count_common(bm_a, bm_b)
+    # One build: the printed stats describe the batmaps that produced the count.
+    collection = BatmapCollection.build([set_a, set_b], universe, config=config,
+                                        family=family, sort_by_size=False,
+                                        build_compute=args.build_compute)
+    print(_backend_line("build", collection.build_plan.backend,
+                        collection.build_plan), file=out)
+    plan = plan_counts(collection, requested=args.compute, workers=args.workers,
+                       n_pairs=1)
+    print(_backend_line("count", plan.backend, plan), file=out)
+    with collection.pair_counter(plan) as counter:
+        batmap_count = counter.count_pair(0, 1)
+    bm_a, bm_b = collection.batmap(0), collection.batmap(1)
     merge_count = intersection_size_numpy(set_a, set_b)
     print(f"|A| = {set_a.size}, |B| = {set_b.size}, universe = {universe}", file=out)
     print(f"intersection size (batmap): {batmap_count}", file=out)

@@ -27,7 +27,7 @@ position ``p mod width_small`` of a narrow one matches exactly the per-row
 ``mod r_small`` folding of :func:`repro.core.intersection.count_common` —
 the engine's counts are bit-identical to the per-pair reference.
 
-The module is split into two layers:
+The module is split into three parts:
 
 * :class:`WidthClassIndex` — the pure *layout-level* engine.  It knows only
   the flat ``uint32`` word buffer plus per-slot offsets and widths; every
@@ -39,10 +39,14 @@ The module is split into two layers:
   compatibility once, owns the original-index <-> slot mapping and the
   cached all-pairs matrix, and runs every query as tiles through the one
   pipeline of :mod:`repro.core.pipeline` (source → walk → runner → sink).
+* :class:`ReferenceIndex` / :class:`ReferencePairCounter` — the per-pair
+  reference (:func:`~repro.core.intersection.count_common`) as a tile
+  source, and the same front door over it: the planner's ``host`` engine,
+  exact for layouts the packed buffer cannot represent.
 
 The engine is the shared hot path for :meth:`BatmapCollection.count_all_pairs`,
 the boolean-matrix workloads (:mod:`repro.matrix.multiply`), the mining
-pipeline's host compute mode (:mod:`repro.mining.pair_mining`) and the
+pipeline's ``batch`` compute mode (:mod:`repro.mining.pair_mining`) and the
 per-tile work of the multiprocess and out-of-core executors.
 """
 
@@ -51,7 +55,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.errors import LayoutError
-from repro.core.intersection import require_compression_floor, require_same_family
+from repro.core.intersection import (
+    count_common,
+    require_compression_floor,
+    require_same_family,
+)
 from repro.core.pipeline import (
     DenseSink,
     PairsSink,
@@ -68,7 +76,9 @@ from repro.utils.validation import require, require_positive
 
 __all__ = [
     "WidthClassIndex",
+    "ReferenceIndex",
     "BatchPairCounter",
+    "ReferencePairCounter",
     "DEFAULT_BLOCK_WORDS",
     "width_slot_bounds",
 ]
@@ -356,6 +366,36 @@ class WidthClassIndex:
         return out
 
 
+class ReferenceIndex:
+    """The per-pair reference as a tile source: one :func:`count_common` per pair.
+
+    Answers :class:`WidthClassIndex`'s two queries from the batmaps
+    themselves, with no packed buffer, so sub-word ranges and entries wider
+    than a byte run through the same walk and sinks as the packed engines.
+    A batmap compared with itself counts its ``stored_count``, so diagonal
+    tiles need no special case; they only mirror their lower half.
+    """
+
+    def __init__(self, batmaps) -> None:
+        self.batmaps = batmaps
+
+    def cross_index(self, other: "ReferenceIndex", row_slots, col_slots) -> np.ndarray:
+        """Rectangular counts: *this* source's ``row_slots`` x ``other``'s ``col_slots``."""
+        symmetric = other is self and col_slots is row_slots
+        out = np.empty((len(row_slots), len(col_slots)), dtype=np.int64)
+        for p, a in enumerate(row_slots.tolist()):
+            for q, b in enumerate(col_slots.tolist()):
+                out[p, q] = (out[q, p] if symmetric and q < p
+                             else count_common(self.batmaps[a], other.batmaps[b]))
+        return out
+
+    def pairwise_index(self, other: "ReferenceIndex", a_slots, b_slots) -> np.ndarray:
+        """Aligned counts: *this* slot ``a_slots[k]`` vs ``other``'s ``b_slots[k]``."""
+        return np.array([count_common(self.batmaps[a], other.batmaps[b])
+                         for a, b in zip(a_slots.tolist(), b_slots.tolist())],
+                        dtype=np.int64)
+
+
 def width_slot_bounds(widths, failed_per_slot=None) -> np.ndarray:
     """Per-slot count upper bounds derived from packed row widths alone.
 
@@ -392,12 +432,15 @@ class BatchPairCounter:
     def __init__(self, collection, *, block_words: int = DEFAULT_BLOCK_WORDS) -> None:
         self.collection = collection
         self.block_words = int(block_words)
+        self.index = self._tile_source(collection)
+        self._counts_sorted = None
+
+    def _tile_source(self, collection) -> WidthClassIndex:
+        """The width-class index over the collection's packed device buffer."""
         self._validate(collection)
         buffer = collection.device_buffer()
-        self.index = WidthClassIndex(
-            buffer.words, buffer.offsets, buffer.widths, block_words=block_words
-        )
-        self._counts_sorted = None
+        return WidthClassIndex(buffer.words, buffer.offsets, buffer.widths,
+                               block_words=self.block_words)
 
     def __enter__(self) -> "BatchPairCounter":
         return self
@@ -572,3 +615,15 @@ class BatchPairCounter:
                                 self._edge(max(rows.size, cols.size)), [bounds])
         return self._run(tiles, SparseSink(rows.size, cols.size, symmetric=False,
                                            min_support=min_support))
+
+
+class ReferencePairCounter(BatchPairCounter):
+    """The batch engine's queries over :class:`ReferenceIndex` (the ``host`` plan).
+
+    Only the tile source differs: every count is one
+    :func:`~repro.core.intersection.count_common` call, exact for every
+    payload width and range, and no packed buffer is built.
+    """
+
+    def _tile_source(self, collection) -> ReferenceIndex:
+        return ReferenceIndex(collection.batmaps_sorted)

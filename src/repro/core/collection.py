@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.batch import BatchPairCounter
+from repro.core.batch import BatchPairCounter, ReferencePairCounter
 from repro.core.batmap import Batmap
 from repro.core.builder import place_set
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
@@ -318,9 +318,9 @@ class BatmapCollection:
     def batch_counter(self) -> BatchPairCounter:
         """The vectorised batch pair-counting engine for this collection (cached).
 
-        Built once; every host-side counting query — :meth:`count_pair`,
-        :meth:`count_all_pairs`, the boolean-matrix product and the mining
-        pipeline's host compute mode — goes through it.
+        Built once; every ``"batch"`` plan — :meth:`count_all_pairs`, the
+        boolean-matrix product, the miner — and :meth:`count_pair` once it
+        exists go through it.
         """
         if self._batch_counter is None:
             self._batch_counter = BatchPairCounter(self)
@@ -341,25 +341,30 @@ class BatmapCollection:
     def pair_counter(self, plan):
         """The counting engine a :class:`~repro.core.plan.CountPlan` names.
 
-        ``"parallel"`` opens a :class:`~repro.parallel.executor.ParallelPairCounter`
-        with the plan's workers; every other plan runs the tiles inline on
-        the cached batch engine.  Both are context managers with the same
-        queries, so callers write one ``with`` block for either.  (The
-        per-pair ``"host"`` reference and the simulated ``"kernel"`` are not
-        tile engines; callers branch on them before asking for a counter.)
+        ``"batch"`` is the cached batch engine, ``"parallel"`` a
+        :class:`~repro.parallel.executor.ParallelPairCounter` with the
+        plan's workers, and ``"host"`` a
+        :class:`~repro.core.batch.ReferencePairCounter` (the per-pair
+        reference run as a tile source).  All three are context managers
+        with the same queries, so callers write one ``with`` block for any
+        of them.  ``"device"`` and ``"sharded"`` plans are not in-memory
+        engines: the kernel driver and the sharded pipeline run them.
         """
-        if plan.backend == "parallel":
-            from repro.parallel.executor import ParallelPairCounter  # parallel sits above core
+        if plan.backend == "batch":
+            return self.batch_counter()
+        if plan.backend == "host":
+            return ReferencePairCounter(self)
+        require(plan.backend == "parallel",
+                f"a {plan.backend!r} plan has no in-memory engine")
+        from repro.parallel.executor import ParallelPairCounter  # parallel sits above core
 
-            return ParallelPairCounter(self, workers=plan.workers)
-        return self.batch_counter()
+        return ParallelPairCounter(self, workers=plan.workers)
 
     def count_all_pairs(
         self,
         *,
-        parallel=False,
+        compute: str = "batch",
         workers: int | None = None,
-        compute: str | None = None,
         result_format: str = "dense",
         min_support: int = 0,
         top_k: int | None = None,
@@ -367,10 +372,14 @@ class BatmapCollection:
     ):
         """Stored-copy intersection counts of every pair.
 
-        Backend selection goes through the workload planner
-        (:func:`~repro.core.plan.plan_counts`); all backends are
-        bit-identical to looping :func:`~repro.core.intersection.count_common`
-        over every pair.  The diagonal holds each set's stored element count.
+        ``compute`` names the engine through the workload planner
+        (:func:`~repro.core.plan.plan_counts`): ``"batch"`` (default),
+        ``"parallel"`` (with ``workers``; small collections fall back to
+        the batch engine), ``"host"`` or ``"auto"``.  Layouts the packed
+        engines cannot represent run on the per-pair ``host`` reference.
+        All engines are bit-identical to looping
+        :func:`~repro.core.intersection.count_common` over every pair.  The
+        diagonal holds each set's stored element count.
 
         ``result_format="dense"`` (the default) keeps the legacy contract —
         a dense ``n x n`` ``int64`` ndarray.  Any other format (or a
@@ -381,42 +390,22 @@ class BatmapCollection:
         ``memory_budget`` (dense-mode callers are unaffected; sparse-mode
         results warn ``DeprecationWarning`` only if their raw matrix is
         materialised through ``matrix()``).
-
-        ``compute`` names a backend explicitly (``"auto"``, ``"host"``,
-        ``"batch"`` or ``"parallel"``).  ``parallel`` is the older shorthand
-        for ``compute="parallel"``: pass ``True`` to auto-select the worker
-        count, or an integer (equivalently ``workers=``) to pin it; small
-        collections still fall back to the serial batch engine.  With
-        neither argument the serial engines are used (the batch engine when
-        the layout is word-packable, the per-pair loop otherwise).
         """
         from repro.core.plan import plan_counts  # parallel sits above core
 
-        require(compute in (None, "auto", "host", "batch", "parallel"),
-                f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
-        if workers is None and parallel and not isinstance(parallel, bool):
-            workers = int(parallel)
         if result_format != "dense" or top_k is not None:
-            requested = compute if compute is not None else (
-                "parallel" if parallel else None)
             return self.count_result(
-                compute=requested, workers=workers,
+                compute=compute, workers=workers,
                 result_format=result_format, min_support=min_support,
                 top_k=top_k, memory_budget=memory_budget)
-        byte_packable = self.r0 >= 4 and self.config.entry_storage_bits == 8
-        requested = compute if compute is not None else (
-            "parallel" if parallel else ("batch" if byte_packable else "host")
-        )
-        plan = plan_counts(self, requested=requested, workers=workers)
-        if plan.backend == "host" or not byte_packable:
-            return self._count_all_pairs_loop()
+        plan = plan_counts(self, requested=compute, workers=workers)
         with self.pair_counter(plan) as counter:
             return counter.count_all_pairs()
 
     def count_result(
         self,
         *,
-        compute: str | None = None,
+        compute: str = "batch",
         workers: int | None = None,
         result_format: str = "auto",
         min_support: int = 0,
@@ -438,51 +427,13 @@ class BatmapCollection:
             resolve_result_format,
         )
 
-        require(compute in (None, "auto", "host", "batch", "parallel"),
-                f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
         fmt = resolve_result_format(result_format, len(self), memory_budget)
-        byte_packable = self.r0 >= 4 and self.config.entry_storage_bits == 8
-        requested = compute if compute is not None else (
-            "batch" if byte_packable else "host")
         features = PlanFeatures.from_collection(
             self, result_format=fmt, min_support=min_support)
-        plan = plan_counts(features, requested=requested, workers=workers)
-        if plan.backend == "host" or not byte_packable:
-            return self._loop_count_result(fmt, min_support, top_k)
+        plan = plan_counts(features, requested=compute, workers=workers)
         with self.pair_counter(plan) as counter:
             return counter.count_result(
                 result_format=fmt, min_support=min_support, top_k=top_k)
-
-    def _loop_count_result(self, fmt: str, min_support: int, top_k):
-        """Reference-loop counts converted to the requested result shape.
-
-        The per-pair loop computes everything (no tiles exist to prune), so
-        the conversion is pure reshaping and the result carries no pruning
-        floor.
-        """
-        from repro.core.results import (
-            DenseCountResult,
-            SparseCountResult,
-            TopKAccumulator,
-        )
-
-        dense = self._count_all_pairs_loop()
-        n = dense.shape[0]
-        if top_k is not None:
-            acc = TopKAccumulator(top_k)
-            iu, ju = np.triu_indices(n, k=1)
-            values = dense[iu, ju]
-            keep = values >= max(1, min_support)
-            acc.push(iu[keep], ju[keep], values[keep])
-            return acc.result(n, min_support=min_support,
-                              fill_zeros=min_support <= 1)
-        if fmt == "dense":
-            return DenseCountResult(dense)
-        iu, ju = np.triu_indices(n, k=0)
-        values = dense[iu, ju]
-        keep = values != 0
-        return SparseCountResult(n, rows=iu[keep], cols=ju[keep],
-                                 values=values[keep])
 
     def _count_all_pairs_loop(self) -> np.ndarray:
         """Per-pair reference loop, kept for sub-word ranges and verification."""

@@ -1,22 +1,31 @@
 """Workload planner: pick a counting backend per request, not per call site.
 
-PR 1/2 grew three interchangeable pair-counting engines — the per-pair host
-reference (:func:`repro.core.intersection.count_common`), the serial
-vectorised batch engine (:class:`repro.core.batch.BatchPairCounter`) and the
-multiprocess executor (:class:`repro.parallel.executor.ParallelPairCounter`)
-— plus the simulated device kernel for modelling.  Each integration point
-(the kernel driver, the miner, the collection API, the CLI, the matrix
-product) used to make its own ad-hoc choice between them through scattered
-``compute=`` strings and the executor's ``recommended_backend`` helper.
+The planner's backend names are the library's one counting vocabulary —
+the CLI's ``--compute``, the miner's ``compute=``, the collection and
+matrix APIs and :attr:`MiningReport.count_backend` all use them:
 
-This module centralises that decision.  :func:`plan_counts` inspects the
-request — collection size, packed width mix, available cores, and (when
-known) how many pairs the query touches — and returns a :class:`CountPlan`
-naming the backend to run.  The policy, in order:
+* ``host`` — the per-pair reference (:func:`repro.core.intersection.count_common`)
+  run as a tile source, exact for every layout;
+* ``batch`` — the serial vectorised batch engine
+  (:class:`repro.core.batch.BatchPairCounter`);
+* ``parallel`` — the same tiles on the process pool
+  (:class:`repro.parallel.executor.ParallelPairCounter`);
+* ``device`` — the simulated GPU kernel (:mod:`repro.kernels.driver`),
+  for modelling;
+* ``sharded`` — the out-of-core pipeline over spilled shards;
+* ``auto`` — let :func:`plan_counts` choose.
+
+:func:`plan_counts` is the only place these names are validated.  It
+inspects the request — collection size, packed width mix, available cores,
+and (when known) how many pairs the query touches — and returns a
+:class:`CountPlan`; :meth:`~repro.core.collection.BatmapCollection.pair_counter`
+turns an in-memory plan into its engine.  The policy, in order:
 
 1. **Layout gates** — sub-word ranges (``r0 < 4``) or entries wider than one
    byte (``payload_bits > 7``) cannot use the packed SWAR engines; only the
-   per-pair ``host`` reference is exact there.
+   per-pair ``host`` reference is exact there.  The gate applies to every
+   request except ``device`` (the simulated kernel raises on such layouts
+   rather than silently running something else).
 2. **Point queries** stay on ``host``: a handful of pairs never amortises
    gathering the packed buffer into width-class matrices.
 3. **Small collections** (below :data:`PARALLEL_MIN_SETS`) or single-core
@@ -29,9 +38,11 @@ naming the backend to run.  The policy, in order:
    throughput.
 5. Everything else fans out to ``parallel``.
 
-``kernel`` (the GPU simulator) is never auto-selected — it models a device,
-it does not serve requests — but an explicit ``requested="kernel"`` is
-honoured so drivers can route through one entry point.
+``device`` is never auto-selected — it models a device, it does not serve
+requests — but an explicit ``requested="device"`` is honoured so drivers
+can route through one entry point.  An explicit ``parallel`` request falls
+back to ``batch`` when the pool cannot pay off; the plan's ``reason`` then
+reads ``"parallel fell back: ..."``.
 
 The executor's pay-off floor and worker cap remain defined in
 :mod:`repro.parallel.executor` (tests monkeypatch them there); this module
@@ -68,7 +79,7 @@ __all__ = [
 #: out-of-core pipeline (:mod:`repro.core.sharded`): never auto-selected
 #: unless a resident-set ``memory_budget`` is given and the packed buffer
 #: would not fit under it.
-BACKENDS = ("host", "batch", "parallel", "kernel", "sharded")
+BACKENDS = ("host", "batch", "parallel", "device", "sharded")
 
 #: Mean packed words per set at which a collection counts as wide-class
 #: heavy: one width-class SWAR pass over rows this wide already saturates
@@ -214,10 +225,12 @@ def plan_counts(
     features:
         A :class:`PlanFeatures` or a :class:`~repro.core.collection.BatmapCollection`.
     requested:
-        ``"auto"`` applies the full policy.  An explicit backend name is
-        honoured, with one exception kept from ``recommended_backend``:
-        ``"parallel"`` demotes to ``"batch"`` when the pool cannot pay off
-        (single worker, or below the executor's set floor).
+        ``"auto"`` applies the full policy; any other name in
+        :data:`BACKENDS` is honoured, except that the layout gate demotes
+        every request but ``"device"`` to ``"host"`` on layouts the packed
+        engines cannot represent, and ``"parallel"`` falls back to
+        ``"batch"`` when the pool cannot pay off (single worker, or below
+        the executor's set floor).
     workers:
         Worker count for the parallel backend; ``None`` auto-selects from
         the core count (capped by the executor policy).
@@ -238,7 +251,7 @@ def plan_counts(
     if not isinstance(features, PlanFeatures):
         features = PlanFeatures.from_collection(features)
     require(requested == "auto" or requested in BACKENDS,
-            f"requested must be 'auto' or one of {BACKENDS}, got {requested!r}")
+            f"compute must be 'auto' or one of {BACKENDS}, got {requested!r}")
     require(features.min_support >= 0,
             f"min_support must be >= 0, got {features.min_support}")
     min_sets, resolve_workers = _executor_policy()
@@ -250,32 +263,33 @@ def plan_counts(
         return CountPlan(backend, plan_workers, reason, result_format=fmt,
                          min_support=features.min_support)
 
-    if requested == "kernel":
-        return plan("kernel", 1, "simulated device kernel requested")
+    fell_back = "" if requested == "auto" else f"{requested} fell back: "
+    if requested == "device":
+        return plan("device", 1, "simulated device kernel requested")
     if requested == "host":
         return plan("host", 1, "per-pair host reference requested")
+    if not features.byte_entries or features.r0 < 4:
+        return plan(
+            "host", 1,
+            f"{fell_back}entries are not byte-packable or ranges are "
+            "sub-word; only the per-pair reference is exact",
+        )
     if requested == "batch":
         return plan("batch", 1, "serial batch engine requested")
     if requested == "sharded":
         return plan("sharded", n_workers, "out-of-core sharded pipeline requested")
     if requested == "parallel":
         if n_workers < 2:
-            return plan("batch", 1, "parallel requested but only one worker available")
+            return plan("batch", 1, f"{fell_back}only one worker available")
         if features.n_sets < min_sets:
             return plan(
                 "batch", 1,
-                f"parallel requested but {features.n_sets} sets is below the "
-                f"pool pay-off floor ({min_sets})",
+                f"{fell_back}{features.n_sets} sets is below the pool "
+                f"pay-off floor ({min_sets})",
             )
         return plan("parallel", n_workers, "parallel requested")
 
     # --- auto policy ---------------------------------------------------- #
-    if not features.byte_entries or features.r0 < 4:
-        return plan(
-            "host", 1,
-            "entries are not byte-packable or ranges are sub-word; only the "
-            "per-pair reference is exact",
-        )
     if memory_budget is not None and features.packed_bytes > memory_budget:
         return plan(
             "sharded", n_workers,
@@ -418,11 +432,11 @@ def plan_build(
     if requested == "parallel":
         if n_workers < 2:
             return BuildPlan("bulk", 1,
-                             "parallel requested but only one worker available")
+                             "parallel fell back: only one worker available")
         if n_sets < PARALLEL_BUILD_MIN_SETS or total_elements < PARALLEL_BUILD_MIN_ELEMENTS:
             return BuildPlan(
                 "bulk", 1,
-                f"parallel requested but {n_sets} sets / {total_elements} "
+                f"parallel fell back: {n_sets} sets / {total_elements} "
                 "elements is below the build pool pay-off floor",
             )
         return BuildPlan("parallel", n_workers, "parallel bulk build requested")

@@ -22,9 +22,7 @@ import numpy as np
 from repro.baselines.merge import intersection_size_numpy
 from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
-from repro.core.intersection import count_common
 from repro.core.plan import plan_counts
-from repro.core.results import SparseCountResult
 from repro.gpu.device import DeviceSpec, GTX_285
 from repro.kernels.driver import run_batmap_pair_counts
 from repro.matrix.boolean import SparseBooleanMatrix
@@ -179,14 +177,14 @@ def multiply_batmap(
     """Witness-count product using host-side batmap comparisons.
 
     All row-sets of ``a`` and column-sets of ``b`` live over the same inner
-    dimension, so one shared hash family serves both sides.  Backend
-    selection goes through the workload planner
-    (:func:`~repro.core.plan.plan_counts`): the cross block
-    (``a``-rows x ``b``-columns) runs on the vectorised batch engine, fans
-    out to the multiprocess executor for large multi-core instances, or
-    falls back to the per-pair reference for layouts the packed engines
-    cannot represent (``payload_bits > 7``, sub-word ranges).  Failed
-    insertions (rare) are repaired exactly in every case.
+    dimension, so one shared hash family serves both sides.  ``compute``
+    goes to the workload planner (:func:`~repro.core.plan.plan_counts`)
+    unchanged, and the cross block (``a``-rows x ``b``-columns) runs on the
+    engine its plan names: the vectorised batch engine, the multiprocess
+    executor for large multi-core instances, or the per-pair reference for
+    tiny blocks and for layouts the packed engines cannot represent
+    (``payload_bits > 7``, sub-word ranges).  Failed insertions (rare) are
+    repaired exactly in every case.
 
     ``build_compute`` independently selects the *construction* engine for
     the row/column batmaps (:func:`~repro.core.plan.plan_build`): the bulk
@@ -202,8 +200,6 @@ def multiply_batmap(
     entries at or above ``min_support`` are exact.
     """
     _check_shapes(a, b)
-    require(compute in ("auto", "host", "batch", "parallel"),
-            f"compute must be 'auto', 'host', 'batch' or 'parallel', got {compute!r}")
     require(result_format in ("dense", "sparse"),
             f"result_format must be 'dense' or 'sparse', got {result_format!r}")
     require(min_support == 0 or result_format == "sparse",
@@ -216,25 +212,11 @@ def multiply_batmap(
                                         build_workers=build_workers)
     rows_idx = np.arange(a.n_rows)
     cols_idx = a.n_rows + np.arange(b.n_cols)
-    byte_packable = collection.r0 >= 4 and config.entry_storage_bits == 8
     sparse = result_format == "sparse"
     # A sparse product wants the tile engine's pruning even when the block
     # is small, so only dense products count as point queries.
     plan = plan_counts(collection, requested=compute, workers=workers,
                        n_pairs=None if sparse else a.n_rows * b.n_cols)
-    if plan.backend == "host" or not byte_packable:
-        product = np.empty((a.n_rows, b.n_cols), dtype=np.int64)
-        for i in range(a.n_rows):
-            bm_i = collection.batmap(int(rows_idx[i]))
-            for j in range(b.n_cols):
-                product[i, j] = count_common(bm_i, collection.batmap(int(cols_idx[j])))
-        if not sparse:
-            return _repair_cross_product(product, collection, a, b)
-        r, c = np.nonzero(product)
-        result = SparseCountResult(a.n_rows, b.n_cols, rows=r, cols=c,
-                                   values=product[r, c], symmetric=False,
-                                   min_support=min_support)
-        return _repair_cross_result(result, collection, a, b)
     with collection.pair_counter(plan) as counter:
         if sparse:
             result = counter.count_cross_result(rows_idx, cols_idx,
@@ -252,7 +234,6 @@ def multiply_batmap_device(
     rng: RngLike = None,
     device: DeviceSpec = GTX_285,
     tile_size: int = 2048,
-    compute: str = "kernel",
     build_compute: str = "auto",
 ) -> tuple[np.ndarray, float]:
     """Witness-count product through the simulated GPU kernel.
@@ -260,17 +241,16 @@ def multiply_batmap_device(
     Returns ``(product, modelled_device_seconds)``.  The kernel counts *all*
     pairs among the ``a``-rows and ``b``-columns; only the cross block is
     extracted.  (The paper's join-project application has exactly this
-    structure.)  ``compute="batch"`` takes the counts from the batch engine
-    instead of simulating every launch — see
-    :func:`repro.kernels.driver.run_batmap_pair_counts`.
+    structure.)  Every launch is simulated
+    (:func:`repro.kernels.driver.run_batmap_pair_counts`); for the same
+    product without a device model use :func:`multiply_batmap`.
     """
     _check_shapes(a, b)
     universe = a.n_cols
     sets = list(a.rows) + b.column_sets()
     collection = BatmapCollection.build(sets, universe, config=config, rng=rng,
                                         build_compute=build_compute)
-    result = run_batmap_pair_counts(collection, device=device, tile_size=tile_size,
-                                    compute=compute)
+    result = run_batmap_pair_counts(collection, device=device, tile_size=tile_size)
     # reorder device (sorted) counts back to original set indices
     n_total = len(sets)
     order = collection.order

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import BatmapConfig, DEFAULT_CONFIG
-from repro.core.intersection import count_common
 from repro.core.plan import PlanFeatures, plan_counts, resolve_result_format
 from repro.datasets.streaming import collect_transactions
 from repro.datasets.transactions import TransactionDatabase
@@ -51,24 +50,6 @@ __all__ = ["BatmapPairMiner", "DEFAULT_STREAM_BUDGET"]
 DEFAULT_STREAM_BUDGET = 256 << 20
 
 
-def _host_counts_sorted(collection) -> np.ndarray:
-    """Dense count matrix in width-sorted order via the per-pair reference.
-
-    The fallback counting phase for layouts the packed engines cannot
-    represent (``payload_bits > 7``): exact for every configured width.
-    """
-    batmaps = collection.batmaps_sorted
-    n = len(batmaps)
-    out = np.zeros((n, n), dtype=np.int64)
-    for a in range(n):
-        out[a, a] = batmaps[a].stored_count
-        for b in range(a + 1, n):
-            c = count_common(batmaps[a], batmaps[b])
-            out[a, b] = c
-            out[b, a] = c
-    return out
-
-
 @dataclass
 class BatmapPairMiner:
     """Frequent pair miner built on batmaps and the GPU simulator.
@@ -84,18 +65,21 @@ class BatmapPairMiner:
     config:
         Batmap construction parameters.
     compute:
+        A counting backend name of the workload planner
+        (:func:`repro.core.plan.plan_counts`), passed through unchanged.
         ``"device"`` (default) runs the tiled pair-count kernel on the GPU
         simulator and reports its modelled timing and traffic statistics;
-        ``"host"`` computes the (bit-identical) counts with the vectorised
+        ``"batch"`` computes the (bit-identical) counts with the vectorised
         batch engine (:mod:`repro.core.batch`) on the host — the fast
         wall-clock serving path, with no device model attached;
         ``"parallel"`` distributes the same tiles across a process pool over
         a shared-memory copy of the packed buffer
         (:class:`~repro.parallel.executor.ParallelPairCounter`), falling back
-        to the serial batch engine for small inputs;
-        ``"auto"`` defers the batch/parallel choice to the workload planner
-        (:func:`repro.core.plan.plan_counts`) — the simulator is never
-        auto-selected.
+        to the serial batch engine for small inputs; ``"host"`` runs the
+        per-pair reference; ``"auto"`` lets the planner choose — the
+        simulator is never auto-selected.  Layouts the packed engines
+        cannot represent (``payload_bits > 7``) plan ``"host"`` for every
+        request but ``"device"``.
     workers:
         Worker processes for ``compute="parallel"``; ``None`` auto-selects
         from the machine's core count.
@@ -146,12 +130,6 @@ class BatmapPairMiner:
         is exact (bit-identical to the dense pipeline filtered afterwards).
         """
         require(min_support >= 1, f"min_support must be >= 1, got {min_support}")
-        require(self.compute in ("device", "host", "parallel", "auto"),
-                f"compute must be 'device', 'host', 'parallel' or 'auto', "
-                f"got {self.compute!r}")
-        require(self.build_compute in ("auto", "host", "bulk", "parallel"),
-                f"build_compute must be 'auto', 'host', 'bulk' or 'parallel', "
-                f"got {self.build_compute!r}")
         timers = PhaseTimer()
 
         with timers.time("preprocess"):
@@ -176,47 +154,13 @@ class BatmapPairMiner:
         features = PlanFeatures.from_collection(
             pre.collection, result_format=fmt, min_support=min_support)
 
-        backend = "kernel"
-        if self.compute != "device":
-            # compute="host" names the batch engine; the planner returns
-            # "host" only for layouts the packed engines cannot represent
-            # (the miner never asks for point queries), and demotes
-            # "parallel" to "batch" when a pool cannot pay off.
-            requested = {"auto": "auto", "parallel": "parallel",
-                         "host": "batch"}[self.compute]
-            plan = plan_counts(features, requested=requested, workers=self.workers)
-            backend = plan.backend
-            # Entries wider than one byte (payload_bits > 7) have no packed
-            # word form: only the per-pair reference is exact.
-            # (compute="device" keeps raising — a layout the simulated kernel
-            # genuinely cannot represent should not be silently softened.)
-            if pre.collection.config.entry_storage_bits != 8:
-                backend = "host"
+        plan = plan_counts(features, requested=self.compute, workers=self.workers)
 
         sparse_result = None   # CountResult in original index order
         counts_sorted = None
         result = None
         simulation_seconds = 0.0
-        if backend == "host":
-            # Per-pair reference loop (exact for every payload width).
-            with timers.time("count"):
-                if fmt == "sparse":
-                    sparse_result = pre.collection.count_result(
-                        compute="host", result_format="sparse",
-                        min_support=min_support)
-                else:
-                    counts_sorted = _host_counts_sorted(pre.collection)
-        elif backend != "kernel":
-            # The tile engines, wall-clock timed end to end (for the pool:
-            # shared segment and pool startup included).
-            with timers.time("count"):
-                with pre.collection.pair_counter(plan) as counter:
-                    if fmt == "sparse":
-                        sparse_result = counter.count_result(
-                            result_format="sparse", min_support=min_support)
-                    else:
-                        counts_sorted = counter.counts_sorted()
-        else:
+        if plan.backend == "device":
             # Device phase: timed by the simulator's analytic model; the
             # simulation's own wall time is reported beside it, never in it.
             started = time.perf_counter()
@@ -231,6 +175,16 @@ class BatmapPairMiner:
             simulation_seconds = time.perf_counter() - started
             counts_sorted = result.counts
             sparse_result = result.result
+        else:
+            # The in-memory engines, wall-clock timed end to end (for the
+            # pool: shared segment and pool startup included).
+            with timers.time("count"):
+                with pre.collection.pair_counter(plan) as counter:
+                    if fmt == "sparse":
+                        sparse_result = counter.count_result(
+                            result_format="sparse", min_support=min_support)
+                    else:
+                        counts_sorted = counter.counts_sorted()
 
         with timers.time("postprocess"):
             if sparse_result is not None:
@@ -257,9 +211,10 @@ class BatmapPairMiner:
             failed_insertions=n_failed,
             tiles=result.tiles if result else 0,
             simulation_seconds=simulation_seconds,
-            count_backend=backend,
-            build_backend=(pre.collection.build_plan.backend
-                           if pre.collection.build_plan else "host"),
+            count_backend=plan.backend,
+            build_backend=pre.collection.build_plan.backend,
+            count_plan=plan,
+            build_plan=pre.collection.build_plan,
         )
 
     def mine_stream(
@@ -298,10 +253,9 @@ class BatmapPairMiner:
         supports gathered during preprocessing.
         """
         require(min_support >= 1, f"min_support must be >= 1, got {min_support}")
-        require(self.compute in ("host", "parallel", "auto"),
-                "streaming mining supports compute 'host', 'parallel' or 'auto'; "
-                f"got {self.compute!r} (the simulated device needs the whole "
-                "buffer resident)")
+        require(self.compute != "device",
+                "streaming mining cannot run compute='device': the simulated "
+                "device needs the whole buffer resident")
         budget = parse_memory_size(
             memory_budget if memory_budget is not None else DEFAULT_STREAM_BUDGET)
         timers = PhaseTimer()
@@ -373,6 +327,7 @@ class BatmapPairMiner:
                 failed_insertions=n_failed,
                 count_backend=f"sharded({counter.plan.backend})",
                 build_backend=f"sharded({shards[0].build_backend})",
+                count_plan=counter.plan,
             )
         finally:
             if cleanup:

@@ -151,18 +151,23 @@ class MiningReport:
     #: (compute="device" only).  Reported next to the modelled count time;
     #: no modelled total includes it.
     simulation_seconds: float = 0.0
-    #: Which engine produced the counts: "kernel" (simulated device),
-    #: "batch" (serial host engine — also the small-input fallback of
+    #: Which engine produced the counts, in the planner's vocabulary
+    #: (:data:`repro.core.plan.BACKENDS`): "device" (simulated kernel),
+    #: "batch" (serial host engine — also the fallback of
     #: compute="parallel"), "parallel" (multiprocess executor), "host"
-    #: (per-pair reference — the fallback for payload widths the packed
-    #: engines cannot represent), or "sharded(<inner>)" for the
+    #: (per-pair reference — also the fallback for payload widths the
+    #: packed engines cannot represent), or "sharded(<inner>)" for the
     #: out-of-core pipeline (mine_stream), naming the engine its
     #: shard-pair rectangles ran on.
-    count_backend: str = "kernel"
+    count_backend: str = "device"
     #: Which engine built the batmap collection: "host" (serial per-element
     #: inserter), "bulk" (vectorized round-based engine) or "parallel"
     #: (multiprocess bulk builder).
     build_backend: str = "host"
+    #: The planners' verdicts behind the two names above (``reason`` says
+    #: why, including any fallback); ``None`` when not planned in-process.
+    count_plan: object | None = None
+    build_plan: object | None = None
 
     @property
     def preprocess_seconds(self) -> float:
@@ -173,8 +178,8 @@ class MiningReport:
         """Pure pair-generation time (Figure 6's quantity).
 
         The modelled device phase for ``compute="device"`` runs; the
-        wall-clock batch-engine phase for ``compute="host"`` runs (which
-        record no device time).
+        wall-clock counting phase for every other engine (which records no
+        device time).
         """
         return self.device_seconds if self.device_seconds > 0 else self.timers.get("count")
 

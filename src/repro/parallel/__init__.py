@@ -17,7 +17,6 @@ from repro.parallel.executor import (
     SharedDeviceBuffer,
     auto_tile_edge,
     measure_executor_scaling,
-    recommended_backend,
     resolve_worker_count,
 )
 from repro.parallel.sharded import ShardedPairCounter
@@ -42,6 +41,5 @@ __all__ = [
     "SharedDeviceBuffer",
     "auto_tile_edge",
     "measure_executor_scaling",
-    "recommended_backend",
     "resolve_worker_count",
 ]

@@ -34,10 +34,10 @@ Lifecycle / safety:
   stays the segment's single owner and no "leaked shared_memory" warnings
   are emitted at shutdown.
 
-Small inputs are not worth a process pool: :func:`recommended_backend`
-implements the fallback policy (``"batch"`` below a size floor or when only
-one worker is available) that the kernel driver, the miner, the collection
-API and the CLI all share.
+Small inputs are not worth a process pool: the workload planner
+(:func:`repro.core.plan.plan_counts`) falls an explicit ``"parallel"``
+request back to ``"batch"`` below :data:`PARALLEL_MIN_SETS` or when only
+one worker is available.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "run_on_pool",
     "auto_tile_edge",
     "resolve_worker_count",
-    "recommended_backend",
     "measure_executor_scaling",
 ]
 
@@ -79,7 +78,7 @@ __all__ = [
 SHM_PREFIX = "repro-batmap-"
 
 #: Below this many sets the pool/segment setup dominates the counting work
-#: and the serial batch engine wins; :func:`recommended_backend` falls back.
+#: and the serial batch engine wins; the planner falls ``"parallel"`` back.
 PARALLEL_MIN_SETS = 256
 
 #: Auto-selected worker counts are capped here: the pair-count kernel is
@@ -99,21 +98,6 @@ def resolve_worker_count(workers=None) -> int:
         return max(1, min(os.cpu_count() or 1, MAX_AUTO_WORKERS))
     require_positive(workers, "workers")
     return int(workers)
-
-
-def recommended_backend(collection, *, workers=None) -> str:
-    """``"parallel"`` when a pool would pay off for this collection, else ``"batch"``.
-
-    Kept as the executor-local convenience wrapper; the decision itself lives
-    in the workload planner (:func:`repro.core.plan.plan_counts` with
-    ``requested="parallel"``), so every integration point — the kernel
-    driver, the miner, the collection API, the CLI — shares one policy:
-    fall back to the serial batch engine when only one worker is available
-    or the collection is below the :data:`PARALLEL_MIN_SETS` floor.
-    """
-    from repro.core.plan import plan_counts
-
-    return plan_counts(collection, requested="parallel", workers=workers).backend
 
 
 # --------------------------------------------------------------------------- #

@@ -115,10 +115,11 @@ class _AttachedShards:
 class ShardedPairCounter:
     """All-pairs counting over a spilled :class:`ShardedCollection`.
 
-    ``compute`` mirrors the collection API: ``"batch"`` runs the tiles of
-    every shard pair inline; ``"parallel"`` counts them on a process pool
-    (falling back to inline below the pool pay-off floor); ``"auto"`` asks
-    the workload planner.  Either way the tiles come from one walk over the
+    ``compute`` goes to the workload planner unchanged: ``"batch"`` runs
+    the tiles of every shard pair inline; ``"parallel"`` counts them on a
+    process pool (falling back to inline below the pool pay-off floor);
+    ``"auto"`` lets the planner choose.  Spilled shards hold only packed
+    words, so a plan naming any other engine is rejected.  Either way the tiles come from one walk over the
     shard-pair upper triangle (:func:`~repro.core.pipeline.triangle_tiles`)
     and go into one sink.  ``memory_budget`` additionally shrinks the SWAR
     block budget so counting temporaries respect the same ceiling the
@@ -137,8 +138,6 @@ class ShardedPairCounter:
         result_format: str = "dense",
         min_support: int = 0,
     ) -> None:
-        require(compute in ("auto", "batch", "host", "parallel"),
-                f"compute must be 'auto', 'batch', 'host' or 'parallel', got {compute!r}")
         require(sharded.n_shards > 0, "cannot count an empty sharded collection")
         require(min_support >= 0, f"min_support must be >= 0, got {min_support}")
         if tile_size is not None:
@@ -157,8 +156,6 @@ class ShardedPairCounter:
             memory_budget = max(1, memory_budget - 8 * sharded.n_physical_sets ** 2)
         self.block_words = block_words_for_budget(memory_budget)
         self._mp_context = mp_context
-        requested = {"auto": "auto", "host": "batch", "batch": "batch",
-                     "parallel": "parallel"}[compute]
         features = PlanFeatures(
             n_sets=sharded.n_physical_sets,
             total_words=sharded.total_words,
@@ -168,7 +165,10 @@ class ShardedPairCounter:
             result_format=self.result_format,
             min_support=self.min_support,
         )
-        self.plan = plan_counts(features, requested=requested, workers=workers)
+        self.plan = plan_counts(features, requested=compute, workers=workers)
+        require(self.plan.backend in ("batch", "parallel"),
+                f"spilled shards count on the batch or parallel engine; "
+                f"compute={compute!r} planned {self.plan.backend!r}")
 
     # ------------------------------------------------------------------ #
     def _run(self, sink, bounds=None):

@@ -398,7 +398,7 @@ class TestPipelineIntegration:
         write_fimi(db, path)
         out = io.StringIO()
         assert main(["mine", str(path), "--min-support", "3",
-                     "--compute", "host", "--build-compute", "bulk"],
+                     "--compute", "batch", "--build-compute", "bulk"],
                     out=out) == 0
         text = out.getvalue()
         assert "build backend: bulk" in text
@@ -415,7 +415,7 @@ class TestPipelineIntegration:
         write_fimi(db, path)
         out = io.StringIO()
         assert main(["mine", str(path), "--min-support", "3", "--max-size", "3",
-                     "--compute", "host", "--build-compute", "parallel"],
+                     "--compute", "batch", "--build-compute", "parallel"],
                     out=out) == 0
         # Small input: the explicit parallel request demotes, and says so.
         assert "build backend: bulk (parallel fell back" in out.getvalue()

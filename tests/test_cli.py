@@ -76,9 +76,9 @@ class TestComputeFlags:
         assert "(1, 2)  support=3" in text
         assert "(0, 2)  support=3" in text
 
-    def test_mine_host_backend(self, fimi_file):
+    def test_mine_batch_backend(self, fimi_file):
         out = io.StringIO()
-        assert main(["mine", str(fimi_file), "--compute", "host",
+        assert main(["mine", str(fimi_file), "--compute", "batch",
                      "--min-support", "2"], out=out) == 0
         text = out.getvalue()
         assert "count backend: batch" in text
@@ -89,19 +89,48 @@ class TestComputeFlags:
         assert main(["mine", str(fimi_file), "--compute", "device",
                      "--min-support", "2"], out=out) == 0
         text = out.getvalue()
-        assert "count backend: kernel" in text
+        assert "count backend: device (simulated device kernel requested)" in text
         assert re.search(r"count \S+s \(modelled; simulated in \d+\.\d{3}s wall clock\)",
                          text)
 
     def test_mine_backends_agree(self, fimi_file):
         results = {}
-        for compute in ("device", "host", "parallel"):
+        for compute in ("device", "batch", "parallel"):
             out = io.StringIO()
             main(["mine", str(fimi_file), "--compute", compute,
                   "--min-support", "1"], out=out)
             results[compute] = [line for line in out.getvalue().splitlines()
                                 if "support=" in line]
-        assert results["device"] == results["host"] == results["parallel"]
+        assert results["device"] == results["batch"] == results["parallel"]
+
+    def test_mine_prints_the_planners_fallback_reason(self, tmp_path):
+        """300 kept items clear the pool's set floor, so the only reason a
+        one-worker parallel request falls back is the worker count — and
+        that is what both backend lines must say."""
+        from repro.core.plan import PARALLEL_BUILD_MIN_SETS
+        from repro.datasets.fimi_io import write_fimi
+        from repro.datasets.synthetic import generate_density_instance
+        from repro.parallel.executor import PARALLEL_MIN_SETS
+
+        db = generate_density_instance(300, 0.05, 6000, rng=3)
+        assert PARALLEL_MIN_SETS < db.n_items < PARALLEL_BUILD_MIN_SETS
+        path = tmp_path / "s.fimi"
+        write_fimi(db, path)
+        out = io.StringIO()
+        assert main(["mine", str(path), "--compute", "parallel", "--workers", "1",
+                     "--build-compute", "parallel", "--build-workers", "1",
+                     "--min-support", "1"], out=out) == 0
+        text = out.getvalue()
+        assert ("count backend: batch (parallel fell back: only one worker "
+                "available)") in text
+        assert ("build backend: bulk (parallel fell back: only one worker "
+                "available)") in text
+
+    def test_mine_stream_rejects_device(self, fimi_file):
+        out = io.StringIO()
+        assert main(["mine", str(fimi_file), "--stream", "--compute", "device"],
+                    out=out) == 2
+        assert "streaming mining cannot run compute='device'" in out.getvalue()
 
     def test_intersect_parallel_falls_back(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -144,10 +173,10 @@ class TestMineItemsets:
 
         db = _read(fimi_file)
         reference = BatmapItemsetMiner(
-            BatmapPairMiner(compute="host"), max_size=4, level_compute="scan",
+            BatmapPairMiner(compute="batch"), max_size=4, level_compute="scan",
         ).mine(db, min_support=2, rng=0)
         out = io.StringIO()
-        main(["mine", str(fimi_file), "--max-size", "4", "--compute", "host",
+        main(["mine", str(fimi_file), "--max-size", "4", "--compute", "batch",
               "--min-support", "2"], out=out)
         n_expected = len(reference.itemsets)
         assert f"{n_expected} frequent itemsets" in out.getvalue()
@@ -165,7 +194,7 @@ class TestMineItemsets:
     def test_max_size_one_restricts_to_singletons(self, fimi_file):
         out = io.StringIO()
         assert main(["mine", str(fimi_file), "--max-size", "1",
-                     "--compute", "host", "--min-support", "2"], out=out) == 0
+                     "--compute", "batch", "--min-support", "2"], out=out) == 0
         text = out.getvalue()
         assert "up to size 1" in text
         # no pair (two-element) itemsets may be printed

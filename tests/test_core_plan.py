@@ -58,7 +58,7 @@ class TestCountPlanValidation:
 
 class TestExplicitRequests:
     def test_explicit_backends_honoured(self):
-        for backend in ("host", "batch", "kernel"):
+        for backend in ("host", "batch", "device"):
             assert plan_counts(features(), requested=backend).backend == backend
 
     def test_parallel_demotes_below_floor(self):
@@ -74,6 +74,20 @@ class TestExplicitRequests:
         plan = plan_counts(features(n_sets=4096), requested="parallel", workers=4)
         assert plan.backend == "parallel"
         assert plan.workers == 4
+
+    def test_layout_gate_applies_to_every_request_but_device(self):
+        for layout in (features(byte_entries=False), features(r0=2)):
+            for requested in ("batch", "parallel", "sharded"):
+                plan = plan_counts(layout, requested=requested, workers=4)
+                assert plan.backend == "host"
+                assert plan.reason.startswith(f"{requested} fell back: ")
+            assert plan_counts(layout, requested="device").backend == "device"
+
+    def test_parallel_fallback_reason_names_the_cause(self):
+        one = plan_counts(features(n_sets=4096), requested="parallel", workers=1)
+        assert one.reason == "parallel fell back: only one worker available"
+        small = plan_counts(features(n_sets=4), requested="parallel", workers=4)
+        assert small.reason.startswith("parallel fell back: 4 sets is below")
 
     def test_explicit_parallel_ignores_wide_heuristic(self):
         """An explicit parallel request is not second-guessed by the width mix."""

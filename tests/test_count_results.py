@@ -130,7 +130,7 @@ class TestParallelEngine:
 
 
 class TestShardedEngine:
-    @pytest.mark.parametrize("workers_compute", [("host", None), ("parallel", 2)])
+    @pytest.mark.parametrize("workers_compute", [("batch", None), ("parallel", 2)])
     def test_sparse_matches_dense_counts(self, tmp_path, rng, monkeypatch,
                                          workers_compute):
         # 80 sets sit below the pool pay-off floor: lower it so the parallel
@@ -143,7 +143,7 @@ class TestShardedEngine:
             memory_budget=512 << 10)
         from repro.parallel.sharded import ShardedPairCounter
 
-        dense = ShardedPairCounter(sharded, compute="host").counts()
+        dense = ShardedPairCounter(sharded, compute="batch").counts()
         counter = ShardedPairCounter(
             sharded, compute=compute, workers=workers,
             result_format="sparse", min_support=3)
@@ -151,6 +151,18 @@ class TestShardedEngine:
                                         else "batch")
         result = counter.count_result()
         assert_matches_dense(result, dense, 3)
+
+    def test_rejects_plans_without_a_spilled_engine(self, tmp_path, rng):
+        """Spilled shards hold packed words only: the per-pair reference
+        and the simulated device cannot run over them."""
+        from repro.parallel.sharded import ShardedPairCounter
+
+        sharded = ShardedCollection.build(
+            random_sets(rng, 10, UNIVERSE, max_size=50), UNIVERSE,
+            tmp_path / "spill", rng=1, memory_budget=512 << 10)
+        for compute in ("host", "device"):
+            with pytest.raises(ValueError, match="spilled shards count on"):
+                ShardedPairCounter(sharded, compute=compute)
 
     def test_tombstoned_artifact(self, tmp_path, rng):
         sets = random_sets(rng, 60, UNIVERSE, max_size=100)
@@ -161,9 +173,9 @@ class TestShardedEngine:
         reloaded = ShardedCollection.from_spill(tmp_path / "spill")
         from repro.parallel.sharded import ShardedPairCounter
 
-        dense = ShardedPairCounter(reloaded, compute="host").counts()
+        dense = ShardedPairCounter(reloaded, compute="batch").counts()
         counter = ShardedPairCounter(
-            reloaded, compute="host", result_format="sparse", min_support=2)
+            reloaded, compute="batch", result_format="sparse", min_support=2)
         assert_matches_dense(counter.count_result(), dense, 2)
         topk = counter.count_result(top_k=9, min_support=None)
         assert topk.ranked() == dense_top_k(dense, 9)
@@ -180,7 +192,7 @@ class TestShardedEngine:
         assert reloaded.n_shards == 3
         from repro.parallel.sharded import ShardedPairCounter
 
-        dense = ShardedPairCounter(reloaded, compute="host").counts()
+        dense = ShardedPairCounter(reloaded, compute="batch").counts()
         counter = ShardedPairCounter(
             reloaded, compute="parallel", workers=2, result_format="sparse",
             min_support=2)
@@ -426,7 +438,7 @@ class TestMinerIntegration:
         return TransactionDatabase(
             transactions=[t for t in txns if t.size], n_items=n_items)
 
-    @pytest.mark.parametrize("compute", ["host", "device"])
+    @pytest.mark.parametrize("compute", ["host", "batch", "device"])
     def test_mine_sparse_matches_dense(self, rng, compute):
         from repro.mining.pair_mining import BatmapPairMiner
 

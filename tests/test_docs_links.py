@@ -60,6 +60,25 @@ def test_readme_decision_tables_match_planner_constants():
             f"README quotes a stale value for {name}; the planner says {value}")
 
 
+def _readme_backend_rows(readme: str) -> list:
+    """First-column names of the README's counting-backend table, in order."""
+    section = readme.split("## Execution backends", 1)[1].split("\n### ", 1)[0]
+    return re.findall(r"^\| `([a-z]+)`", section, re.MULTILINE)
+
+
+def test_readme_backend_table_is_the_planner_vocabulary():
+    """One counting vocabulary: the README table lists exactly the
+    planner's backends, and ``repro mine --compute`` offers no other name."""
+    from repro.cli import subcommand_parsers
+    from repro.core import plan
+
+    readme = (REPO_ROOT / "README.md").read_text()
+    assert _readme_backend_rows(readme) == list(plan.BACKENDS)
+    compute = next(action for action in subcommand_parsers()["mine"]._actions
+                   if action.dest == "compute")
+    assert set(compute.choices) <= {"auto", *plan.BACKENDS}
+
+
 def test_experiments_entries_linked_from_readme_exist():
     """Every E-number the README references has a heading in EXPERIMENTS.md."""
     readme = (REPO_ROOT / "README.md").read_text()

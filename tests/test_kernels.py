@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.bitmap import BitmapIndex
 from repro.core.collection import BatmapCollection
+from repro.core.plan import plan_counts
 from repro.kernels.driver import run_batmap_pair_counts, run_bitmap_pair_counts
 from repro.kernels.pair_count import PairCountKernel
 from repro.kernels.tiling import Tile, TileScheduler, pad_to_multiple
@@ -169,43 +170,30 @@ class TestBitmapDriver:
 
 
 class TestBatchComputeMode:
+    """The simulated kernel and the host engines a plan names agree exactly."""
+
     def test_batch_counts_match_kernel_counts(self, rng):
         m = 700
         sets = random_sets(rng, 14, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=6)
         kernel = run_batmap_pair_counts(coll, tile_size=8)
-        batch = run_batmap_pair_counts(coll, compute="batch")
-        assert np.array_equal(kernel.counts, batch.counts)
-        assert batch.tiles == 0
-        assert batch.device_seconds == 0.0       # no launches simulated
-        assert batch.transfer_seconds > 0        # the upload is still modelled
-
-    def test_batch_counts_are_a_private_copy(self, rng):
-        m = 300
-        coll = BatmapCollection.build(random_sets(rng, 5, m, max_size=60), m, rng=0)
-        first = run_batmap_pair_counts(coll, compute="batch")
-        first.counts[0, 0] = -1
-        second = run_batmap_pair_counts(coll, compute="batch")
-        assert second.counts[0, 0] != -1
-
-    def test_invalid_compute_rejected(self, rng):
-        m = 200
-        coll = BatmapCollection.build(random_sets(rng, 3, m, max_size=30), m, rng=0)
-        with pytest.raises(ValueError):
-            run_batmap_pair_counts(coll, compute="quantum")
+        with coll.pair_counter(plan_counts(coll, requested="batch")) as counter:
+            assert np.array_equal(kernel.counts, counter.counts_sorted())
+        assert kernel.tiles > 0
+        assert kernel.device_seconds > 0
 
 
 class TestParallelComputeMode:
     def test_parallel_counts_match_kernel_counts(self, rng):
-        """Small input: the parallel mode falls back to the batch engine."""
+        """Small input: the parallel plan falls back to the batch engine."""
         m = 700
         sets = random_sets(rng, 14, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=6)
         kernel = run_batmap_pair_counts(coll, tile_size=8)
-        parallel = run_batmap_pair_counts(coll, compute="parallel", workers=2)
-        assert np.array_equal(kernel.counts, parallel.counts)
-        assert parallel.tiles == 0
-        assert parallel.device_seconds == 0.0
+        plan = plan_counts(coll, requested="parallel", workers=2)
+        assert plan.backend == "batch"
+        with coll.pair_counter(plan) as counter:
+            assert np.array_equal(kernel.counts, counter.counts_sorted())
 
     def test_parallel_forced_through_pool(self, rng, monkeypatch):
         """Lowering the fallback floor drives the counts through real workers."""
@@ -215,9 +203,11 @@ class TestParallelComputeMode:
         m = 700
         sets = random_sets(rng, 12, m, max_size=120)
         coll = BatmapCollection.build(sets, m, rng=2)
-        batch = run_batmap_pair_counts(coll, compute="batch")
-        parallel = run_batmap_pair_counts(coll, compute="parallel", workers=2)
-        assert np.array_equal(batch.counts, parallel.counts)
+        kernel = run_batmap_pair_counts(coll, tile_size=8)
+        plan = plan_counts(coll, requested="parallel", workers=2)
+        assert plan.backend == "parallel"
+        with coll.pair_counter(plan) as counter:
+            assert np.array_equal(kernel.counts, counter.counts_sorted())
 
 
 def _tiny_shared_device(shared_bytes: int):

@@ -98,11 +98,11 @@ class TestMinerIntegration:
         if level_compute == "parallel":
             kwargs["workers"] = 2
         fast = BatmapItemsetMiner(
-            BatmapPairMiner(compute="host"),
+            BatmapPairMiner(compute="batch"),
             level_compute=level_compute, **kwargs,
         ).mine(db, min_support=8, rng=0)
         reference = BatmapItemsetMiner(
-            BatmapPairMiner(compute="host"),
+            BatmapPairMiner(compute="batch"),
             max_size=5, level_compute="scan",
         ).mine(db, min_support=8, rng=0)
         assert fast.itemsets == reference.itemsets

@@ -233,22 +233,23 @@ class TestParallelComputeMode:
     def test_parallel_matches_host_counts_with_fallback(self):
         """Small instance: compute="parallel" drops to the batch engine."""
         db = generate_fixed_transactions(20, 0.3, 120, rng=8)
-        host = BatmapPairMiner(compute="host").mine(db, min_support=1, rng=0)
+        batch = BatmapPairMiner(compute="batch").mine(db, min_support=1, rng=0)
         parallel = BatmapPairMiner(compute="parallel", workers=2).mine(
             db, min_support=1, rng=0)
-        assert np.array_equal(host.supports.counts, parallel.supports.counts)
-        assert host.count_backend == "batch"
+        assert np.array_equal(batch.supports.counts, parallel.supports.counts)
+        assert batch.count_backend == "batch"
         assert parallel.count_backend == "batch"      # fell back: tiny input
+        assert parallel.count_plan.reason.startswith("parallel fell back: ")
 
     def test_parallel_forced_through_pool(self, monkeypatch):
         import repro.parallel.executor as executor_module
 
         monkeypatch.setattr(executor_module, "PARALLEL_MIN_SETS", 1)
         db = generate_fixed_transactions(20, 0.3, 120, rng=8)
-        host = BatmapPairMiner(compute="host").mine(db, min_support=1, rng=0)
+        batch = BatmapPairMiner(compute="batch").mine(db, min_support=1, rng=0)
         parallel = BatmapPairMiner(compute="parallel", workers=2).mine(
             db, min_support=1, rng=0)
-        assert np.array_equal(host.supports.counts, parallel.supports.counts)
+        assert np.array_equal(batch.supports.counts, parallel.supports.counts)
         assert parallel.count_backend == "parallel"
         assert parallel.device_seconds == 0.0
         assert parallel.counting_seconds > 0
@@ -256,4 +257,4 @@ class TestParallelComputeMode:
     def test_device_backend_recorded(self):
         db = generate_fixed_transactions(10, 0.3, 40, rng=8)
         report = BatmapPairMiner(tile_size=8).mine(db, min_support=1, rng=0)
-        assert report.count_backend == "kernel"
+        assert report.count_backend == "device"

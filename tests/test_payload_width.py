@@ -18,6 +18,7 @@ from repro.core.collection import BatmapCollection
 from repro.core.config import BatmapConfig
 from repro.core.errors import LayoutError
 from repro.core.intersection import count_common, exact_intersection_size
+from repro.core.plan import plan_counts
 from repro.extensions.multiway import multiway_intersection
 
 WIDTHS = (5, 7, 9)
@@ -141,6 +142,114 @@ class TestMinerWidePayload:
             assert report.count_backend == "host"
             expected = FPGrowthMiner().mine_pairs(db.transactions, db.n_items, 3)
             assert report.supports.frequent_pairs(3) == expected
+
+
+def upper_pairs_at_least(block: np.ndarray, floor: int, *, symmetric: bool):
+    """Oracle triplets of a dense block: entries ``>= floor`` (strict upper
+    triangle for a symmetric matrix, every entry for a rectangle)."""
+    if symmetric:
+        rows, cols = np.triu_indices(block.shape[0], k=1)
+    else:
+        rows, cols = np.indices(block.shape).reshape(2, -1)
+    values = block[rows, cols]
+    keep = values >= max(1, floor)
+    return rows[keep], cols[keep], values[keep]
+
+
+class TestReferenceEngine:
+    """The ``host`` engine (per-pair reference as a tile source) on every
+    query shape, for a wide payload (9 bits) and the default 7 as control.
+
+    Small tiles make each query walk several diagonal and off-diagonal
+    tiles, so the walk, the pruning and the sinks all see the reference
+    source.
+    """
+
+    @pytest.fixture(params=(7, 9))
+    def coll(self, request):
+        config = BatmapConfig(payload_bits=request.param)
+        sets = build_sets(request.param + 40, universe=400, n_sets=12)
+        return BatmapCollection.build(sets, 400, config=config, rng=6)
+
+    def counter(self, coll, requested="host"):
+        plan = plan_counts(coll, requested=requested)
+        assert plan.backend == "host"
+        counter = coll.pair_counter(plan)
+        counter.tile_size = 5
+        return counter
+
+    def test_wide_payload_demotes_every_packed_request(self, coll):
+        for requested in ("batch", "parallel", "sharded", "auto"):
+            plan = plan_counts(coll, requested=requested, workers=2)
+            if coll.config.payload_bits == 9:
+                assert plan.backend == "host"
+                if requested != "auto":
+                    assert plan.reason.startswith(f"{requested} fell back: ")
+            else:
+                assert plan.backend != "host"
+
+    def test_dense(self, coll):
+        oracle = coll._count_all_pairs_loop()
+        assert np.array_equal(self.counter(coll).count_all_pairs(), oracle)
+        assert np.array_equal(coll.count_all_pairs(compute="host"), oracle)
+
+    @pytest.mark.parametrize("min_support", [0, 2, 6])
+    def test_sparse_with_min_support(self, coll, min_support):
+        oracle = coll._count_all_pairs_loop()
+        result = self.counter(coll).count_result(result_format="sparse",
+                                                 min_support=min_support)
+        got = result.frequent_pairs(max(1, min_support))
+        want = upper_pairs_at_least(oracle, min_support, symmetric=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert result.stats["tiles_total"] > 1
+        if min_support == 0:
+            assert np.array_equal(result.diagonal(), np.diag(oracle))
+
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    def test_top_k(self, coll, k):
+        oracle = coll._count_all_pairs_loop()
+        rows, cols = np.triu_indices(oracle.shape[0], k=1)
+        values = oracle[rows, cols]   # zero counts fill a heap larger than the nonzeros
+        ranked = np.lexsort((cols, rows, -values))[:k]
+        want = [((int(rows[o]), int(cols[o])), int(values[o])) for o in ranked]
+        assert self.counter(coll).count_result(top_k=k).ranked() == want
+
+    def test_count_cross(self, coll):
+        oracle = coll._count_all_pairs_loop()
+        rows, cols = np.array([0, 3, 5, 7, 11]), np.array([1, 2, 4, 6, 8, 9, 10])
+        got = self.counter(coll).count_cross(rows, cols)
+        assert np.array_equal(got, oracle[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("min_support", [0, 3])
+    def test_count_cross_result(self, coll, min_support):
+        oracle = coll._count_all_pairs_loop()
+        rows, cols = np.array([0, 3, 5, 7, 11]), np.array([1, 2, 4, 6, 8, 9, 10])
+        result = self.counter(coll).count_cross_result(rows, cols,
+                                                       min_support=min_support)
+        got = result.frequent_pairs(max(1, min_support))
+        want = upper_pairs_at_least(oracle[np.ix_(rows, cols)], min_support,
+                                    symmetric=False)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("payload_bits", [7, 9])
+    def test_matrix_product_through_reference(self, payload_bits):
+        from repro.matrix.boolean import SparseBooleanMatrix
+        from repro.matrix.multiply import multiply_batmap, multiply_dense
+
+        a = SparseBooleanMatrix.random(9, 60, 0.3, rng=payload_bits)
+        b = SparseBooleanMatrix.random(60, 7, 0.3, rng=payload_bits + 1)
+        config = BatmapConfig(payload_bits=payload_bits)
+        oracle = multiply_dense(a, b)
+        dense = multiply_batmap(a, b, rng=0, config=config, compute="host")
+        assert np.array_equal(dense, oracle)
+        sparse = multiply_batmap(a, b, rng=0, config=config, compute="host",
+                                 result_format="sparse", min_support=4)
+        got = sparse.frequent_pairs(4)
+        want = upper_pairs_at_least(oracle, 4, symmetric=False)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
 
 
 class TestPackedEngineGates:

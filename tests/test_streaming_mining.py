@@ -82,7 +82,7 @@ class TestMineStreamIdentity:
     def test_spill_dir_kept_when_caller_owns_it(self, tmp_path):
         path, db = write_instance(tmp_path, seed=2)
         spill = tmp_path / "spill"
-        miner = BatmapPairMiner(compute="host")
+        miner = BatmapPairMiner(compute="batch")
         miner.mine_stream(path, min_support=2, rng=0,
                           memory_budget=stream_budget(db), spill_dir=spill)
         assert (spill / "manifest.json").exists()
@@ -97,7 +97,7 @@ class TestMineStreamIdentity:
         # silently parse as empty on the second one
         path, db = write_instance(tmp_path, n_items=12, total=600, seed=4)
         lines = (line for line in path.read_text().splitlines())
-        miner = BatmapPairMiner(compute="host")
+        miner = BatmapPairMiner(compute="batch")
         mem = miner.mine(read_fimi(path), min_support=2, rng=3)
         stream = miner.mine_stream(lines, min_support=2, rng=3,
                                    memory_budget=stream_budget(db))
@@ -105,7 +105,7 @@ class TestMineStreamIdentity:
 
     def test_budget_accepts_size_strings(self, tmp_path):
         path, _ = write_instance(tmp_path, n_items=12, total=600, seed=5)
-        report = BatmapPairMiner(compute="host").mine_stream(
+        report = BatmapPairMiner(compute="batch").mine_stream(
             path, min_support=2, rng=0, memory_budget="64M")
         assert report.batmap_bytes > 0
 
